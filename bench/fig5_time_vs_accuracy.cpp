@@ -7,7 +7,7 @@
 // level several times faster because each iteration touches <1% of the
 // output layer.
 //
-// Baseline roles (DESIGN.md §3): our DenseNetwork plays TF-CPU. No GPU
+// Baseline roles (DESIGN.md §3): the builder dense stack plays TF-CPU. No GPU
 // exists in this environment, so the TF-GPU column is reported as the
 // dense baseline with a FLOP-projection note instead of a measurement.
 #include "bench_common.h"
@@ -30,20 +30,14 @@ void run_workload(const char* name, const SyntheticDataset& data,
   tcfg.num_threads = threads;
   tcfg.learning_rate = 1e-3f;
   ConvergenceRecorder slide_rec("SLIDE-CPU");
-  bench::run_slide_convergence(network, data.train, data.test, tcfg,
-                               iterations, std::max<long>(1, iterations / 8),
-                               slide_rec);
+  bench::run_convergence(network, data.train, data.test, tcfg, iterations,
+                         std::max<long>(1, iterations / 8), slide_rec);
 
-  // Dense baseline (TF-CPU role).
-  DenseNetwork::Config dcfg;
-  dcfg.input_dim = data.train.feature_dim();
-  dcfg.output_units = data.train.label_dim();
-  dcfg.max_batch_size = batch;
-  DenseNetwork dense(dcfg, threads);
+  // Dense baseline (TF-CPU role), same trainer settings.
+  Network dense = bench::dense_baseline(data.train, batch, threads);
   ConvergenceRecorder dense_rec("Dense-CPU(TF-role)");
-  bench::run_dense_convergence(dense, data.train, data.test, batch, threads,
-                               1e-3f, iterations,
-                               std::max<long>(1, iterations / 8), dense_rec);
+  bench::run_convergence(dense, data.train, data.test, tcfg, iterations,
+                         std::max<long>(1, iterations / 8), dense_rec);
 
   std::printf("%s\n",
               merge_to_markdown({&slide_rec, &dense_rec}).c_str());

@@ -35,8 +35,8 @@ int main() {
     tcfg.batch_size = 128;
     tcfg.num_threads = threads;
     tcfg.learning_rate = 1e-3f;
-    bench::run_slide_convergence(network, data.train, data.test, tcfg,
-                                 iterations, eval_every, slide_rec);
+    bench::run_convergence(network, data.train, data.test, tcfg,
+                           iterations, eval_every, slide_rec);
   }
 
   // Sampled softmax at the SAME budget (the unfair-to-SSM comparison the
@@ -51,8 +51,8 @@ int main() {
     tcfg.num_threads = threads;
     tcfg.learning_rate = 1e-3f;
     ConvergenceRecorder rec(name);
-    bench::run_slide_convergence(network, data.train, data.test, tcfg,
-                                 iterations, eval_every, rec);
+    bench::run_convergence(network, data.train, data.test, tcfg,
+                           iterations, eval_every, rec);
     return rec;
   };
   const ConvergenceRecorder ssm_equal =

@@ -35,20 +35,19 @@ int main() {
       tcfg.batch_size = batch;
       tcfg.num_threads = threads;
       tcfg.learning_rate = 1e-3f;
-      bench::run_slide_convergence(network, data.train, data.test, tcfg,
-                                   iterations, eval_every, slide_rec, 500);
+      bench::run_convergence(network, data.train, data.test, tcfg,
+                             iterations, eval_every, slide_rec, 500);
     }
     // Dense baseline.
     ConvergenceRecorder dense_rec("Dense b" + std::to_string(batch));
     {
-      DenseNetwork::Config dcfg;
-      dcfg.input_dim = data.train.feature_dim();
-      dcfg.output_units = label_dim;
-      dcfg.max_batch_size = batch;
-      DenseNetwork dense(dcfg, threads);
-      bench::run_dense_convergence(dense, data.train, data.test, batch,
-                                   threads, 1e-3f, iterations, eval_every,
-                                   dense_rec, 500);
+      Network dense = bench::dense_baseline(data.train, batch, threads);
+      TrainerConfig tcfg;
+      tcfg.batch_size = batch;
+      tcfg.num_threads = threads;
+      tcfg.learning_rate = 1e-3f;
+      bench::run_convergence(dense, data.train, data.test, tcfg, iterations,
+                             eval_every, dense_rec, 500);
     }
     // Sampled softmax at 10% budget.
     ConvergenceRecorder ssm_rec("SSM b" + std::to_string(batch));
@@ -62,8 +61,8 @@ int main() {
       tcfg.batch_size = batch;
       tcfg.num_threads = threads;
       tcfg.learning_rate = 1e-3f;
-      bench::run_slide_convergence(network, data.train, data.test, tcfg,
-                                   iterations, eval_every, ssm_rec, 500);
+      bench::run_convergence(network, data.train, data.test, tcfg,
+                             iterations, eval_every, ssm_rec, 500);
     }
     std::printf("\n-- batch %d --\n%s", batch,
                 merge_to_markdown({&slide_rec, &dense_rec, &ssm_rec})

@@ -136,8 +136,7 @@ Row run_config(int shards, const Workload& w, const Dataset& queries,
     best_async = std::min(best_async, timer.seconds());
   }
   row.async_rebuild_ms = best_async * 1e3;
-  row.rebuilds = dynamic_cast<const ShardedSampledLayer&>(net.stack(0))
-                     .rebuild_count();
+  row.rebuilds = net.stack(0).rebuild_count();
 
   // Sync rebuild (rebuild_all: shards fan out across the pool) — context
   // number, not gated: at S=1 it parallelizes *within* the single group,

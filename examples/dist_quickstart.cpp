@@ -75,9 +75,8 @@ int main(int argc, char** argv) {
       .distributed(endpoints);
   Network network = builder.max_batch(64).build(/*max_threads=*/1);
 
-  auto& dl = dynamic_cast<dist::DistributedSampledLayer&>(
-      network.stack(network.stack_depth() - 1));
-  const dist::WireCounters before = dl.wire_counters();
+  Layer& dl = network.stack(network.stack_depth() - 1);
+  const dist::WireCounters before = dist::wire_counters(dl);
 
   TrainerConfig train_cfg;
   train_cfg.batch_size = 64;
@@ -92,7 +91,7 @@ int main(int argc, char** argv) {
   // Snapshot wire counters before evaluation: exact P@1 intentionally ships
   // every unit's score back (dense), which is not the training hot path the
   // 10% budget is about.
-  const dist::WireCounters after = dl.wire_counters();
+  const dist::WireCounters after = dist::wire_counters(dl);
   const double p1 = evaluate_p_at_1(network, data.test, trainer.pool(),
                                     {.exact = true, .max_samples = 300});
   std::printf("1 epoch (%ld iters) in %.1fs | exact P@1 %.3f\n", iterations,
@@ -135,7 +134,8 @@ int main(int argc, char** argv) {
   const std::string coord = (tmp / "dist_quickstart_coord.slide").string();
   network.rebuild_all(nullptr);
   dl.flush_maintenance();  // settle + refresh the coordinator-side cache
-  dl.checkpoint_shards(base);
+  for (dist::RemoteShard* shard : dist::remote_shards(dl))
+    shard->checkpoint(base);
   save_weights_file(network, coord);
 
   InferenceContext ctx(network);

@@ -68,26 +68,27 @@ int main(int argc, char** argv) {
       network, data.test, trainer.pool(), {.exact = true, .max_samples = 2000});
 
   std::printf("\n== dense full-softmax baseline (TF-CPU role) ==\n");
-  DenseNetwork::Config dense_cfg;
-  dense_cfg.input_dim = data.train.feature_dim();
-  dense_cfg.output_units = label_dim;
-  dense_cfg.max_batch_size = 128;
-  DenseNetwork dense(dense_cfg, threads);
-  ThreadPool pool(threads);
-  Batcher batcher(data.train, 128, true, 11);
+  // The same trainer over a dense stack: every class scored per sample.
+  // Locked gradient accumulation keeps the dense step deterministic across
+  // thread counts (it touches every output weight on every sample).
+  Network dense = NetworkBuilder(data.train.feature_dim())
+                      .dense(128)
+                      .dense(label_dim, Activation::kSoftmax)
+                      .max_batch(128)
+                      .build(threads);
+  dense.set_use_locks(true);
+  Trainer dense_trainer(dense, tcfg);
   WallTimer dense_timer;
-  for (long i = 0; i < iterations; ++i) {
-    dense.step(data.train, batcher.next(), 1e-3f, pool);
-    if ((i + 1) % std::max<long>(1, iterations / 5) == 0) {
-      const double acc = evaluate_p_at_1(dense, data.test, pool,
-                                         {.max_samples = 500});
-      std::printf("  iter %5ld | %6.1fs | P@1 %.3f\n", i + 1,
-                  dense_timer.seconds(), acc);
-    }
-  }
+  dense_trainer.train(data.train, iterations, [&](long it) {
+    const double acc = evaluate_p_at_1(dense, data.test, dense_trainer.pool(),
+                                       {.exact = true, .max_samples = 500});
+    std::printf("  iter %5ld | %6.1fs | P@1 %.3f\n", it, dense_timer.seconds(),
+                acc);
+  }, std::max<long>(1, iterations / 5));
   const double dense_seconds = dense_timer.seconds();
   const double dense_acc =
-      evaluate_p_at_1(dense, data.test, pool, {.max_samples = 2000});
+      evaluate_p_at_1(dense, data.test, dense_trainer.pool(),
+                      {.exact = true, .max_samples = 2000});
 
   std::printf("\n== summary (%ld iterations each) ==\n", iterations);
   std::printf("SLIDE : %7.1fs  P@1 %.3f  (%.2f%% active neurons)\n",

@@ -5,8 +5,9 @@
 #include <cstring>
 #include <numeric>
 
+#include "core/serialize.h"
 #include "core/sharded_layer.h"
-#include "dist/distributed_layer.h"
+#include "dist/remote_shard.h"
 #include "retrieval/exact_retriever.h"
 #include "retrieval/hnsw_retriever.h"
 #include "retrieval/lsh_retriever.h"
@@ -173,8 +174,6 @@ const char* to_string(LayerKind kind) {
       return "random_sampled";
     case LayerKind::kSharded:
       return "sharded";
-    case LayerKind::kDistributed:
-      return "distributed";
   }
   return "?";
 }
@@ -1489,11 +1488,24 @@ std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
     cfg.precision = precision;
     cfg.seed = seed;
     if (!spec.endpoints.empty()) {
-      dist::DistributedOptions options;
-      options.wire_bf16 = spec.wire_bf16;
-      options.shard_checkpoint_base = spec.shard_checkpoint_base;
-      return std::make_unique<dist::DistributedSampledLayer>(
-          cfg, spec.endpoints, batch_slots, options);
+      return std::make_unique<ShardedSampledLayer>(
+          cfg, static_cast<int>(spec.endpoints.size()), batch_slots,
+          [&](const SampledLayer::Config& shard_config, int s, int count,
+              Index row_offset) {
+            dist::InitShardMsg init;
+            init.shard_index = s;
+            init.num_shards = count;
+            init.row_offset = row_offset;
+            init.global_units = cfg.units;
+            init.batch_slots = batch_slots;
+            init.config = shard_config;
+            if (!spec.shard_checkpoint_base.empty())
+              init.checkpoint_path =
+                  shard_file_path(spec.shard_checkpoint_base, s, count);
+            return std::make_unique<dist::RemoteShard>(
+                spec.endpoints[static_cast<std::size_t>(s)], init,
+                spec.wire_bf16);
+          });
     }
     if (spec.shards >= 1) {
       return std::make_unique<ShardedSampledLayer>(cfg, spec.shards,

@@ -200,9 +200,9 @@ class Network {
 
   /// Concrete accessors, kept for existing callers (instrumentation, tests,
   /// benches). Valid only for stacks of SampledLayer-derived layers (dense,
-  /// sampled, random-sampled); a ShardedSampledLayer — or any other Layer
-  /// outside that hierarchy — must be reached through stack(), and the
-  /// debug assert below fires if it is not.
+  /// sampled, random-sampled); a ShardedSampledLayer (local or remote
+  /// shards) must be reached through stack(), and the debug assert below
+  /// fires if it is not.
   SampledLayer& layer(int i) noexcept {
     SLIDE_ASSERT(dynamic_cast<SampledLayer*>(
                      layers_[static_cast<std::size_t>(i)].get()) != nullptr);

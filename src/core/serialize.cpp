@@ -133,19 +133,6 @@ Precision read_precision_tag(std::istream& in, std::uint32_t version) {
   return static_cast<Precision>(tag);
 }
 
-void check_header(std::istream& in, std::uint32_t kind,
-                  std::uint32_t input_dim, std::uint32_t hidden,
-                  std::uint32_t num_layers) {
-  const std::uint32_t version = read_version(in);
-  SLIDE_CHECK(read_u32(in) == kind, "load_weights: checkpoint kind mismatch");
-  SLIDE_CHECK(read_u32(in) == input_dim,
-              "load_weights: input_dim mismatch");
-  SLIDE_CHECK(read_u32(in) == hidden, "load_weights: hidden width mismatch");
-  SLIDE_CHECK(read_u32(in) == num_layers,
-              "load_weights: layer count mismatch");
-  read_precision_tag(in, version);
-}
-
 }  // namespace
 
 CheckpointInfo peek_checkpoint_info(std::istream& in) {
@@ -365,19 +352,6 @@ void load_weights_file(Network& network, const std::string& path,
   load_weights(network, in, pool);
 }
 
-void save_weights(const DenseNetwork& network, std::ostream& out) {
-  const EmbeddingLayer& emb = network.embedding();
-  write_header(out, /*kind=*/1, emb.input_dim(), emb.units(), 1,
-               Precision::kFP32);
-  write_floats(out, emb.weights_span());
-  write_floats(out, emb.bias_span());
-  write_u32(out, network.output_dim());
-  write_u32(out, emb.units());
-  write_floats(out, network.output_weights_span());
-  write_floats(out, network.output_bias_span());
-  SLIDE_CHECK(out.good(), "save_weights: write failed");
-}
-
 namespace {
 
 constexpr std::uint32_t kShardMagic = 0x534C5348;  // "SLSH"
@@ -452,24 +426,6 @@ ShardFileInfo peek_shard_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   SLIDE_CHECK(in.good(), "peek_shard_file: cannot open " + path);
   return read_shard_header(in, path);
-}
-
-void load_weights(DenseNetwork& network, std::istream& in) {
-  EmbeddingLayer& emb = network.embedding();
-  check_header(in, /*kind=*/1, emb.input_dim(), emb.units(), 1);
-  read_floats(in, emb.weights_span());
-  read_floats(in, emb.bias_span());
-  SLIDE_CHECK(read_u32(in) == network.output_dim(),
-              "load_weights: output width mismatch");
-  SLIDE_CHECK(read_u32(in) == emb.units(),
-              "load_weights: output fan-in mismatch");
-  read_floats(in, network.output_weights_span());
-  read_floats(in, network.output_bias_span());
-  // Same post-rewrite contract as the unified loader: derived state
-  // (mirrors, memos) must track the new spans. A no-op today — the dense
-  // baseline is fp32 and unhashed — but load paths must not depend on that.
-  emb.refresh_inference_mirror();
-  network.network().stack(0).on_weights_loaded();
 }
 
 }  // namespace slide

@@ -7,7 +7,7 @@
 // can produce (dense-only, multi-hashed, random-sampled): the writer and
 // loader go through the Layer serialize hooks, so layer policy never
 // changes the byte layout. Legacy dense-baseline checkpoints (kind 1,
-// written by the pre-unification DenseNetwork) load into a single-layer
+// written by the pre-unification dense baseline) load into a single-layer
 // unified stack unchanged. LSH hash tables are NOT serialized: they are a
 // function of the weights and are rebuilt after loading (load_weights does
 // this automatically). Retrieval indexes that are expensive to rebuild
@@ -56,7 +56,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline/dense_network.h"
 #include "core/network.h"
 
 namespace slide {
@@ -84,10 +83,6 @@ void load_weights(Network& network, std::istream& in,
                   ThreadPool* pool = nullptr);
 void load_weights_file(Network& network, const std::string& path,
                        ThreadPool* pool = nullptr);
-
-/// Dense-baseline counterparts (same container format).
-void save_weights(const DenseNetwork& network, std::ostream& out);
-void load_weights(DenseNetwork& network, std::istream& in);
 
 // ---------------------------------------------------------------------------
 // Per-shard checkpoint files (distributed model parallelism, src/dist/)

@@ -73,7 +73,7 @@ SampledLayer::Config derive_shard_config(const SampledLayer::Config& global,
 
 ShardedSampledLayer::ShardedSampledLayer(const SampledLayer::Config& config,
                                          int shards, int batch_slots,
-                                         int max_threads)
+                                         const ShardFactory& make_shard)
     : config_(config), units_(config.units), fan_in_(config.fan_in) {
   SLIDE_CHECK(config.hashed,
               "ShardedSampledLayer: sharding requires an LSH (hashed) layer");
@@ -81,13 +81,23 @@ ShardedSampledLayer::ShardedSampledLayer(const SampledLayer::Config& config,
               "ShardedSampledLayer: random_sampled cannot be sharded");
   offsets_ = shard_partition(units_, shards);
   for (int s = 0; s < shards; ++s) {
-    const Index size = offsets_[static_cast<std::size_t>(s) + 1] -
-                       offsets_[static_cast<std::size_t>(s)];
-    shards_.push_back(std::make_unique<SampledLayer>(
-        derive_shard_config(config, size, s), batch_slots, max_threads));
+    const Index lo = offsets_[static_cast<std::size_t>(s)];
+    const Index size = offsets_[static_cast<std::size_t>(s) + 1] - lo;
+    shards_.push_back(
+        make_shard(derive_shard_config(config, size, s), s, shards, lo));
   }
   slots_.resize(static_cast<std::size_t>(batch_slots));
 }
+
+ShardedSampledLayer::ShardedSampledLayer(const SampledLayer::Config& config,
+                                         int shards, int batch_slots,
+                                         int max_threads)
+    : ShardedSampledLayer(
+          config, shards, batch_slots,
+          [&](const SampledLayer::Config& shard_config, int, int, Index) {
+            return std::make_unique<SampledLayer>(shard_config, batch_slots,
+                                                  max_threads);
+          }) {}
 
 int ShardedSampledLayer::shard_of(Index unit) const noexcept {
   SLIDE_ASSERT(unit < units_);
@@ -317,21 +327,15 @@ Index ShardedSampledLayer::appended_units() const noexcept {
   return total;
 }
 
-long ShardedSampledLayer::rebuild_count() const noexcept {
+long ShardedSampledLayer::rebuild_count() const {
   long total = 0;
   for (const auto& shard : shards_) total += shard->rebuild_count();
   return total;
 }
 
-long ShardedSampledLayer::delta_reinserted() const noexcept {
+long ShardedSampledLayer::delta_reinserted() const {
   long total = 0;
   for (const auto& shard : shards_) total += shard->delta_reinserted();
-  return total;
-}
-
-std::size_t ShardedSampledLayer::dirty_pending() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->dirty_pending();
   return total;
 }
 

@@ -4,36 +4,43 @@
 // SampledLayer owns one neuron array and one LSH table group, so its
 // rebuilds serialize on a single maintenance thread and its class count is
 // capped by what one table group can hold comfortably. Distributed SLIDE
-// (Yan et al., 2022) shards the output layer across workers via model
-// parallelism with per-shard LSH sampling; ShardedSampledLayer is the
-// in-process form of that design:
+// (Yan et al., 2022) shards the output layer via model parallelism with
+// per-shard LSH sampling; ShardedSampledLayer is that design, with the
+// transport left to the shards:
 //
 //   global neuron range [0, units)
 //     = shard 0 rows [off_0, off_1)  — own weight block, MaintainedTables,
 //     + shard 1 rows [off_1, off_2)    dirty-delta queue, maintenance
 //     + ...                            thread, bf16 mirror, Adam state
 //
-// Each shard is a full SampledLayer over its contiguous row range, so
-// rebuilds, HOGWILD gradient accumulation, delta re-inserts, and bf16
-// mirror refreshes all proceed per-shard: S background maintenance threads
-// rebuild concurrently where the monolithic layer has one, and sync
-// rebuilds fan the shards out across the ThreadPool.
+// Each shard is a Layer over its contiguous row range: a local
+// SampledLayer (ShardedSampledLayer(config, shards, ...), from
+// NetworkBuilder::shards) or a dist::RemoteShard that forwards every hook
+// as one RPC to a worker process owning that SampledLayer (from
+// NetworkBuilder::distributed). Rebuilds, HOGWILD gradient accumulation,
+// delta re-inserts, and bf16 mirror refreshes all proceed per shard: S
+// maintenance threads (or worker processes) rebuild concurrently where the
+// monolithic layer has one, and sync rebuilds fan the shards out across
+// the ThreadPool.
 //
-// Forward queries every shard's tables and merges the per-shard candidate
-// sets into one global active set (ids globalized by the shard row
-// offset); softmax normalization runs over the merged set, exactly like
-// the monolithic layer's active-set softmax. Backward scatters the merged
-// deltas back to the owning shards — a shard that produced no active
-// neurons receives no gradient traffic. Top-k inference merges the
+// Forward queries every shard and merges the per-shard candidate sets into
+// one global active set (ids globalized by the shard row offset); softmax
+// normalization runs over the merged set, exactly like the monolithic
+// layer's active-set softmax. Backward scatters the merged deltas back to
+// the owning shards in fixed shard order — a shard that produced no
+// active neurons receives no gradient traffic. Top-k inference merges the
 // per-shard candidate runs through a bounded heap in InferenceContext
 // scratch (no allocation; see Layer::forward_inference_topk).
 //
-// Parity anchor: with shards = 1 the layer is bit-identical to the
+// Parity anchors: with shards = 1 the layer is bit-identical to the
 // monolithic SampledLayer under sync maintenance — same weight init
 // stream, same sampling target, same RNG consumption order, same Adam
-// trajectory. tests/test_sharded_layer.cpp pins this.
+// trajectory (tests/test_sharded_layer.cpp). Remote shards are
+// bit-identical to local ones at the same shard count
+// (tests/test_dist.cpp; the contract is spelled out in dist/protocol.h).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -52,20 +59,26 @@ std::vector<Index> shard_partition(Index units, int shards);
 /// units, proportional sampling target and inference budget (rounded up),
 /// per-bucket-occupancy-preserving range_pow shrink, and the golden-ratio
 /// seed stride (shard 0 keeps config.seed — the S = 1 bit-identity anchor).
-/// Single source of truth shared by ShardedSampledLayer and the distributed
-/// coordinator, so a remote shard is constructed bit-identically to its
-/// in-process twin.
+/// Every shard, local or remote, is built from this derivation, so a remote
+/// shard is constructed bit-identically to its in-process twin.
 SampledLayer::Config derive_shard_config(const SampledLayer::Config& global,
                                          Index shard_size, int shard_index);
 
 class ShardedSampledLayer final : public Layer {
  public:
+  /// Builds shard `index` (of `count`) from its derived config; the shard
+  /// owns global rows [row_offset, row_offset + shard_config.units).
+  using ShardFactory = std::function<std::unique_ptr<Layer>(
+      const SampledLayer::Config& shard_config, int index, int count,
+      Index row_offset)>;
+
   /// `config` describes the GLOBAL layer (total units, global sampling
-  /// target, one seed); the constructor derives the per-shard configs:
-  /// near-equal contiguous row ranges (the first units % shards shards get
-  /// one extra row), per-shard sampling target ceil(target * shard_units /
-  /// units), and per-shard seeds (shard 0 keeps config.seed, so shards = 1
-  /// reproduces the monolithic layer bit for bit). Requires config.hashed.
+  /// target, one seed); the constructor derives the per-shard configs
+  /// (derive_shard_config over shard_partition's near-equal contiguous
+  /// row ranges) and hands each to `make_shard`. Requires config.hashed.
+  ShardedSampledLayer(const SampledLayer::Config& config, int shards,
+                      int batch_slots, const ShardFactory& make_shard);
+  /// In-process shards: one local SampledLayer per row range.
   ShardedSampledLayer(const SampledLayer::Config& config, int shards,
                       int batch_slots, int max_threads);
 
@@ -80,10 +93,8 @@ class ShardedSampledLayer final : public Layer {
 
   /// Shard topology accessors (tests, benches, serialization).
   int shards() const noexcept { return static_cast<int>(shards_.size()); }
-  SampledLayer& shard(int s) noexcept {
-    return *shards_[static_cast<std::size_t>(s)];
-  }
-  const SampledLayer& shard(int s) const noexcept {
+  Layer& shard(int s) noexcept { return *shards_[static_cast<std::size_t>(s)]; }
+  const Layer& shard(int s) const noexcept {
     return *shards_[static_cast<std::size_t>(s)];
   }
   /// Global row range of shard s: [shard_offset(s), shard_offset(s + 1)).
@@ -125,9 +136,8 @@ class ShardedSampledLayer final : public Layer {
   Index appended_units() const noexcept override;
 
   /// Aggregated diagnostics across shards.
-  long rebuild_count() const noexcept;
-  long delta_reinserted() const noexcept;
-  std::size_t dirty_pending() const;
+  long rebuild_count() const override;
+  long delta_reinserted() const override;
   /// Summed per-shard phase timers (the Figure 6 / Table 2
   /// instrumentation; see SampledLayer::sampling_seconds).
   double sampling_seconds() const override;
@@ -161,7 +171,8 @@ class ShardedSampledLayer final : public Layer {
   /// per-shard spans below are the serialization surface (checkpoint v3).
   /// The whole-layer spans are intentionally empty so a caller that
   /// ignores num_shards() fails loudly (zero-size block) instead of
-  /// silently reading one shard.
+  /// silently reading one shard. A remote shard's spans are its
+  /// coordinator-side checkpoint cache (dist/remote_shard.h).
   std::span<float> weights_span() noexcept override { return {}; }
   std::span<const float> weights_span() const noexcept override { return {}; }
   std::span<float> bias_span() noexcept override { return {}; }
@@ -215,7 +226,7 @@ class ShardedSampledLayer final : public Layer {
   Index units_;
   Index fan_in_;
   std::vector<Index> offsets_;  // size shards() + 1; offsets_[0] == 0
-  std::vector<std::unique_ptr<SampledLayer>> shards_;
+  std::vector<std::unique_ptr<Layer>> shards_;
   std::vector<ActiveSet> slots_;  // merged active sets, global ids
 };
 

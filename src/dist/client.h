@@ -12,7 +12,7 @@
 //     RPCs).
 //   * When the retries are exhausted, or the transport errors, the client
 //     marks itself unhealthy and closes: every later call fails fast with
-//     TransportClosed. The distributed layer skips unhealthy shards for
+//     TransportClosed. A RemoteShard skips an unhealthy worker for
 //     inference (degraded mode, surfaced through engine stats) and
 //     propagates the error for training (silently dropping a shard's
 //     gradients would corrupt the model).

@@ -1,6 +1,6 @@
 // Wire framing for the distributed model-parallel subsystem.
 //
-// Every RPC between the coordinator (dist/distributed_layer.h) and a shard
+// Every RPC between the coordinator (dist/remote_shard.h) and a shard
 // worker (dist/worker.h) travels as one length-prefixed, CRC-checked frame:
 //
 //   offset  size  field
@@ -135,9 +135,13 @@ class PayloadWriter {
   }
 
  private:
+  /// Grows the buffer, then copies: the copy is skipped for n == 0, where
+  /// `p` may be the null data() of an empty source.
   void raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    out_.insert(out_.end(), b, b + n);
+    if (n == 0) return;
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    std::memcpy(out_.data() + at, p, n);
   }
 
   std::vector<std::uint8_t>& out_;
@@ -195,9 +199,11 @@ class PayloadReader {
                        "element count exceeds payload");
     return n;
   }
+  /// n == 0 copies nothing: `p` may be the null data() of an empty target.
   void raw(void* p, std::size_t n) {
     if (n > remaining())
       throw FrameError(FrameErrorKind::kBadFormat, "payload reader overrun");
+    if (n == 0) return;
     std::memcpy(p, data_.data() + pos_, n);
     pos_ += n;
   }

@@ -1,5 +1,6 @@
-// RPC protocol between the coordinator (DistributedSampledLayer) and shard
-// workers (ShardWorker), layered on dist/frame.h frames.
+// RPC protocol between the coordinator (dist::RemoteShard, one per shard of
+// a distributed ShardedSampledLayer) and shard workers (ShardWorker),
+// layered on dist/frame.h frames.
 //
 // One request frame -> one response frame, strictly in order per transport
 // (the client serializes whole exchanges). The coordinator drives; workers
@@ -30,8 +31,9 @@
 //   kShutdown          kAck                worker exits its serve loop
 //   any                kErrorResp          worker-side slide::Error text
 //
-// Bit-exactness contract (what makes a 2-worker run reproduce
-// ShardedSampledLayer(S=2) bit for bit, pinned by tests/test_dist.cpp):
+// Bit-exactness contract (what makes a run over S remote shards reproduce
+// the same layer over S local shards bit for bit, pinned by
+// tests/test_dist.cpp):
 //   * kForwardActive / kQueryTopk round-trip the coordinator's Rng::State,
 //     so the remote shard consumes the exact RNG stream the in-process
 //     shard would have.

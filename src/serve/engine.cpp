@@ -3,7 +3,7 @@
 #include <ostream>
 #include <utility>
 
-#include "dist/distributed_layer.h"
+#include "dist/remote_shard.h"
 #include "metrics/table_printer.h"
 
 namespace slide {
@@ -155,32 +155,6 @@ bool InferenceEngine::submit_callback(SparseVector features,
   }
   return enqueue(std::move(request));
 }
-
-// Deprecated positional shims — forward to the ServeOptions form. Their own
-// definitions may reference the deprecated declarations without warning.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-std::optional<std::future<Prediction>> InferenceEngine::submit(
-    SparseVector features, int top_k, std::optional<bool> exact,
-    int page_offset) {
-  ServeOptions options;
-  options.top_k = top_k;
-  options.exact = exact;
-  options.page_offset = page_offset;
-  return submit(std::move(features), options);
-}
-
-bool InferenceEngine::submit_callback(SparseVector features,
-                                      std::function<void(Prediction)> callback,
-                                      int top_k, std::optional<bool> exact,
-                                      int page_offset) {
-  ServeOptions options;
-  options.top_k = top_k;
-  options.exact = exact;
-  options.page_offset = page_offset;
-  return submit_callback(std::move(features), std::move(callback), options);
-}
-#pragma GCC diagnostic pop
 
 void InferenceEngine::pause() { queue_.set_paused(true); }
 
@@ -557,14 +531,12 @@ ServeStats InferenceEngine::stats() const {
         overlap += rs.overlap;
         oracle += rs.oracle;
       }
-      const auto* d =
-          dynamic_cast<const dist::DistributedSampledLayer*>(&layer);
-      if (d == nullptr) continue;
+      if (dist::remote_shards(layer).empty()) continue;
       s.distributed = true;
-      const dist::WireCounters wc = d->wire_counters();
+      const dist::WireCounters wc = dist::wire_counters(layer);
       s.wire_bytes_sent += wc.bytes_sent;
       s.wire_bytes_received += wc.bytes_received;
-      s.unhealthy_shards += d->unhealthy_shards();
+      s.unhealthy_shards += dist::unhealthy_shards(layer);
     }
     if (oracle > 0)
       s.retrieval_recall =

@@ -199,8 +199,8 @@ struct ServeStats {
   /// the first batch completes.
   double ewma_service_us = 0.0;
 
-  // Distributed model parallelism (all zero unless the served network has a
-  // DistributedSampledLayer; see src/dist/).
+  // Distributed model parallelism (all zero unless a served layer has
+  // remote shards; see dist/remote_shard.h).
   bool distributed = false;
   std::uint64_t wire_bytes_sent = 0;      // coordinator -> workers
   std::uint64_t wire_bytes_received = 0;  // workers -> coordinator
@@ -259,18 +259,6 @@ class InferenceEngine {
   bool submit_callback(SparseVector features,
                        std::function<void(Prediction)> callback,
                        const ServeOptions& options = {});
-
-  /// Pre-ServeOptions positional signatures, kept as thin shims.
-  [[deprecated("use submit(features, ServeOptions{.top_k = ...})")]]
-  std::optional<std::future<Prediction>> submit(
-      SparseVector features, int top_k,
-      std::optional<bool> exact = std::nullopt, int page_offset = 0);
-  [[deprecated(
-      "use submit_callback(features, callback, ServeOptions{.top_k = ...})")]]
-  bool submit_callback(SparseVector features,
-                       std::function<void(Prediction)> callback, int top_k,
-                       std::optional<bool> exact = std::nullopt,
-                       int page_offset = 0);
 
   /// Drain control: paused workers finish their in-flight batch, then hold;
   /// admission stays open (the queue absorbs up to queue_capacity).

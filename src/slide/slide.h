@@ -6,7 +6,6 @@
 // See README.md for a quickstart and DESIGN.md for the module inventory.
 #pragma once
 
-#include "baseline/dense_network.h"    // IWYU pragma: export
 #include "baseline/sampled_softmax.h"  // IWYU pragma: export
 #include "core/activation.h"           // IWYU pragma: export
 #include "core/builder.h"              // IWYU pragma: export
@@ -21,7 +20,7 @@
 #include "data/sparse_vector.h"        // IWYU pragma: export
 #include "data/synthetic.h"            // IWYU pragma: export
 #include "data/xc_reader.h"            // IWYU pragma: export
-#include "dist/distributed_layer.h"    // IWYU pragma: export
+#include "dist/remote_shard.h"         // IWYU pragma: export
 #include "dist/transport.h"            // IWYU pragma: export
 #include "dist/worker.h"               // IWYU pragma: export
 #include "lsh/collision.h"             // IWYU pragma: export

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "baseline/dense_network.h"
 #include "core/builder.h"
 #include "core/serialize.h"
 #include "core/trainer.h"
@@ -460,50 +459,78 @@ TEST(UnifiedCheckpoint, LoadsPreRedesignCheckpointBytes) {
 }
 
 TEST(UnifiedCheckpoint, LegacyDenseKindLoadsIntoUnifiedStack) {
-  // A checkpoint written by the deprecated DenseNetwork wrapper (kind 1)
-  // loads into a builder-constructed dense stack of the same shape.
-  const auto data = tiny_data(89);
-  DenseNetwork::Config cfg;
-  cfg.input_dim = data.train.feature_dim();
-  cfg.hidden_units = 8;
-  cfg.output_units = data.train.label_dim();
-  cfg.max_batch_size = 16;
-  DenseNetwork legacy(cfg, 2);
-  ThreadPool pool(2);
-  Batcher batcher(data.train, 16, true, 5);
-  for (int i = 0; i < 10; ++i)
-    legacy.step(data.train, batcher.next(), 5e-3f, pool);
-  std::stringstream buffer;
-  save_weights(legacy, buffer);
+  // The byte stream the pre-unification dense baseline wrote (kind 1):
+  // the kind-0 header with a precision tag from version 2 on, the
+  // embedding blocks, then the output layer's units / fan_in words and its
+  // one weights+bias block pair — written by hand, at the first and the
+  // last version that writer produced. It must load into a builder dense
+  // stack of the same shape exactly as if the parameters were set directly.
+  const Index input_dim = 12, hidden = 4, labels = 9;
+  std::vector<float> emb_w(static_cast<std::size_t>(input_dim) * hidden);
+  std::vector<float> emb_b(hidden);
+  std::vector<float> out_w(static_cast<std::size_t>(labels) * hidden);
+  std::vector<float> out_b(labels);
+  Rng init(89);
+  for (float& v : emb_w) v = init.uniform_float() - 0.5f;
+  for (float& v : emb_b) v = 0.1f * init.uniform_float();
+  for (float& v : out_w) v = init.uniform_float() - 0.5f;
+  for (float& v : out_b) v = 0.1f * init.uniform_float();
 
-  Network unified = NetworkBuilder(cfg.input_dim)
-                        .dense(cfg.hidden_units)
-                        .dense(cfg.output_units, Activation::kSoftmax)
-                        .max_batch(4)
-                        .seed(31337)
-                        .build(1);
-  load_weights(unified, buffer);
+  auto dense_stack = [&] {
+    return NetworkBuilder(input_dim)
+        .dense(hidden)
+        .dense(labels, Activation::kSoftmax)
+        .max_batch(4)
+        .seed(31337)
+        .build(1);
+  };
+  // Reference: the same parameters written straight into the spans.
+  Network reference = dense_stack();
+  std::copy(emb_w.begin(), emb_w.end(),
+            reference.embedding().weights_span().begin());
+  std::copy(emb_b.begin(), emb_b.end(),
+            reference.embedding().bias_span().begin());
+  std::copy(out_w.begin(), out_w.end(),
+            reference.stack(0).weights_span().begin());
+  std::copy(out_b.begin(), out_b.end(),
+            reference.stack(0).bias_span().begin());
 
-  InferenceContext ctx(unified);
-  std::vector<float> scratch;
-  for (std::size_t i = 0; i < 30; ++i) {
-    EXPECT_EQ(legacy.predict_top1(data.test[i].features, scratch),
-              unified.predict_top1(data.test[i].features, ctx, true))
-        << i;
+  for (std::uint32_t version : {1u, 5u}) {
+    std::stringstream buffer;
+    write_u32(buffer, 0x534C4944);  // "SLID"
+    write_u32(buffer, version);
+    write_u32(buffer, 1);  // kind: legacy dense baseline
+    write_u32(buffer, input_dim);
+    write_u32(buffer, hidden);
+    write_u32(buffer, 1);  // num stack layers
+    if (version >= 2) write_u32(buffer, 0);  // precision tag: fp32
+    write_block(buffer, emb_w);
+    write_block(buffer, emb_b);
+    write_u32(buffer, labels);
+    write_u32(buffer, hidden);
+    write_block(buffer, out_w);
+    write_block(buffer, out_b);
+
+    Network unified = dense_stack();
+    load_weights(unified, buffer);
+    EXPECT_EQ(0, std::memcmp(unified.embedding().weights_span().data(),
+                             emb_w.data(), emb_w.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(unified.stack(0).weights_span().data(),
+                             out_w.data(), out_w.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(unified.stack(0).bias_span().data(),
+                             out_b.data(), out_b.size() * sizeof(float)));
+
+    InferenceContext ctx_a(reference), ctx_b(unified);
+    for (std::size_t i = 0; i < 30; ++i) {
+      SparseVector x;
+      x.push_back(static_cast<Index>(i % input_dim), 1.0f);
+      x.push_back(static_cast<Index>((i * 5 + 3) % input_dim), 0.5f);
+      x.compact();
+      EXPECT_EQ(reference.predict_top1(x, ctx_a, true),
+                unified.predict_top1(x, ctx_b, true))
+          << "version " << version << " sample " << i;
+    }
   }
-}
-
-TEST(DenseNetworkAlias, ExposesUnifiedNetworkForMigration) {
-  DenseNetwork::Config cfg;
-  cfg.input_dim = 10;
-  cfg.hidden_units = 4;
-  cfg.output_units = 7;
-  cfg.max_batch_size = 2;
-  DenseNetwork net(cfg, 1);
-  EXPECT_EQ(net.network().stack_depth(), 1);
-  EXPECT_EQ(net.network().stack(0).kind(), LayerKind::kDense);
-  EXPECT_EQ(net.network().output_dim(), 7u);
-  EXPECT_EQ(net.num_parameters(), net.network().num_parameters());
 }
 
 }  // namespace

@@ -19,7 +19,7 @@
 #include "core/sharded_layer.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
-#include "dist/distributed_layer.h"
+#include "dist/remote_shard.h"
 #include "dist/worker.h"
 #include "metrics/prometheus.h"
 #include "serve/engine.h"
@@ -228,8 +228,9 @@ TEST(Churn, GrownCheckpointLoadsIntoOriginalConfigAndAcrossShardCounts) {
     load_weights(restored, in);
     EXPECT_EQ(restored.output_dim(), data.train.label_dim() + 6)
         << shards << " shards";
-    EXPECT_EQ(restored.output_layer().retired_count(), 2);
-    EXPECT_EQ(restored.output_layer().retired_unit_ids(),
+    // stack(0), not output_layer(): the target may be sharded.
+    EXPECT_EQ(restored.stack(0).retired_count(), 2);
+    EXPECT_EQ(restored.stack(0).retired_unit_ids(),
               (std::vector<Index>{5, 11}));
     InferenceContext ctx(restored, 7);
     for (std::size_t i = 0; i < 20; ++i) {
@@ -434,9 +435,8 @@ TEST(Churn, DistributedLayerGrowsAndRetiresThroughRpc) {
     b.distributed(endpoints);
     b.max_batch(32).seed(123);
     Network net(b.to_config(), 1);
-    auto* layer = dynamic_cast<dist::DistributedSampledLayer*>(
-        &net.stack(net.stack_depth() - 1));
-    ASSERT_NE(layer, nullptr);
+    Layer* layer = &net.stack(net.stack_depth() - 1);
+    ASSERT_EQ(dist::remote_shards(*layer).size(), 2u);
 
     const Index before = net.output_dim();
     EXPECT_EQ(net.add_output_units(4), before);
@@ -456,7 +456,8 @@ TEST(Churn, DistributedLayerGrowsAndRetiresThroughRpc) {
       EXPECT_EQ(std::count(top.begin(), top.end(), before + 1), 0);
       for (Index label : top) EXPECT_LT(label, before + 4);
     }
-    layer->shutdown_workers();
+    for (dist::RemoteShard* r : dist::remote_shards(*layer))
+      r->shutdown_worker();
   }
   for (auto& w : workers) w->stop();
 }

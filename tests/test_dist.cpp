@@ -2,8 +2,9 @@
 // over every corruption kind (the xc_reader malformed-input contract),
 // message round-trips, TCP + shared-memory transport semantics, the RPC
 // client's retry/timeout/degrade failure model, and the headline
-// equivalence anchor — a 2-worker DistributedSampledLayer training run is
-// bit-identical to ShardedSampledLayer(S=2) under sync maintenance.
+// equivalence anchor — a sharded layer over S remote shards (S in-process
+// workers) trains bit-identically to the same layer over S local shards
+// under sync maintenance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +24,7 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "dist/client.h"
-#include "dist/distributed_layer.h"
+#include "dist/remote_shard.h"
 #include "dist/transport.h"
 #include "dist/worker.h"
 #include "serve/engine.h"
@@ -78,9 +79,9 @@ struct Fleet {
   }
 };
 
-/// Builder-backed config; shards > 0 -> in-process sharded layer,
-/// endpoints non-empty -> distributed layer. Identical otherwise — the
-/// equivalence tests rely on that.
+/// Builder-backed config; shards > 0 -> local shards, endpoints non-empty
+/// -> remote shards. Identical otherwise — the equivalence tests rely on
+/// that.
 NetworkConfig net_config(const SyntheticDataset& data, int shards,
                          const std::vector<std::string>& endpoints = {},
                          Index target = 20) {
@@ -93,11 +94,19 @@ NetworkConfig net_config(const SyntheticDataset& data, int shards,
   return b.to_config();
 }
 
-dist::DistributedSampledLayer& dist_output(Network& net) {
-  auto* layer = dynamic_cast<dist::DistributedSampledLayer*>(
+/// The output layer of a network built with endpoints: a sharded layer
+/// whose shards are all remote.
+ShardedSampledLayer& dist_output(Network& net) {
+  auto* layer = dynamic_cast<ShardedSampledLayer*>(
       &net.stack(net.stack_depth() - 1));
   EXPECT_NE(layer, nullptr);
+  EXPECT_EQ(static_cast<int>(dist::remote_shards(*layer).size()),
+            layer->shards());
   return *layer;
+}
+
+void shutdown_workers(Layer& layer) {
+  for (dist::RemoteShard* r : dist::remote_shards(layer)) r->shutdown_worker();
 }
 
 std::span<const float> global_row(const Layer& layer, Index u) {
@@ -734,56 +743,66 @@ TEST(DistBuilder, DistributedAndShardsAreMutuallyExclusive) {
 
 // ---- The equivalence anchor (satellite 3) ----------------------------------
 
-TEST(DistEquivalence, TwoWorkerTrainingIsBitIdenticalToShardedS2) {
+class DistEquivalenceByShards : public ::testing::TestWithParam<int> {};
+
+TEST_P(DistEquivalenceByShards, TrainingIsBitIdenticalToInProcessShards) {
+  const int shards = GetParam();
   const auto data = planted();
-  Fleet fleet(2);
+  Fleet fleet(shards);
 
-  Network sharded(net_config(data, 2), 1);
-  Network distributed(net_config(data, 0, fleet.endpoints), 1);
-  ASSERT_EQ(distributed.stack(0).kind(), LayerKind::kDistributed);
-  ASSERT_EQ(distributed.stack(0).num_shards(), 2);
+  Network local(net_config(data, shards), 1);
+  Network remote(net_config(data, 0, fleet.endpoints), 1);
+  ASSERT_EQ(remote.stack(0).kind(), LayerKind::kSharded);
+  ASSERT_EQ(remote.stack(0).num_shards(), shards);
 
-  train(sharded, data, 40);
-  train(distributed, data, 40);
+  train(local, data, 40);
+  train(remote, data, 40);
 
   // The dense stack below the parallel layer trained on the gradients the
   // output layer folded back — byte equality here proves the whole
   // backward path, not just the output shard math.
-  ASSERT_TRUE(bytes_equal(sharded.embedding().weights_span(),
-                          distributed.embedding().weights_span()));
-  ASSERT_TRUE(bytes_equal(sharded.embedding().bias_span(),
-                          distributed.embedding().bias_span()));
+  ASSERT_TRUE(bytes_equal(local.embedding().weights_span(),
+                          remote.embedding().weights_span()));
+  ASSERT_TRUE(bytes_equal(local.embedding().bias_span(),
+                          remote.embedding().bias_span()));
 
   // Output-layer weights: refresh the coordinator cache from the workers,
   // then compare every logical row bit for bit.
-  auto& dl = dist_output(distributed);
+  auto& dl = dist_output(remote);
   dl.flush_maintenance();
-  expect_same_parameters(sharded.stack(0), distributed.stack(0));
+  expect_same_parameters(local.stack(0), remote.stack(0));
 
   // Inference parity, exact and sampled (same-seed contexts).
-  InferenceContext ctx_a(sharded, 7), ctx_b(distributed, 7);
+  InferenceContext ctx_a(local, 7), ctx_b(remote, 7);
   for (std::size_t i = 0; i < 30; ++i) {
     const SparseVector& x = data.test[i].features;
-    EXPECT_EQ(sharded.predict_top1(x, ctx_a, true),
-              distributed.predict_top1(x, ctx_b, true));
-    EXPECT_EQ(sharded.predict_topk(x, ctx_a, 5, true),
-              distributed.predict_topk(x, ctx_b, 5, true));
-    EXPECT_EQ(sharded.predict_topk(x, ctx_a, 5, false),
-              distributed.predict_topk(x, ctx_b, 5, false));
+    EXPECT_EQ(local.predict_top1(x, ctx_a, true),
+              remote.predict_top1(x, ctx_b, true));
+    EXPECT_EQ(local.predict_topk(x, ctx_a, 5, true),
+              remote.predict_topk(x, ctx_b, 5, true));
+    EXPECT_EQ(local.predict_topk(x, ctx_a, 5, false),
+              remote.predict_topk(x, ctx_b, 5, false));
   }
 
   // Wire accounting is monotonic and survives the whole run. (The <= 10%
   // sparse-vs-dense acceptance ratio is asserted on realistically wide
   // layers by examples/dist_quickstart and bench/dist_transport; this
   // 61-label test layer is far too narrow for it to be meaningful.)
-  const dist::WireCounters wc = dl.wire_counters();
+  const dist::WireCounters wc = dist::wire_counters(dl);
   EXPECT_GT(wc.frames_sent, 0u);
   EXPECT_GT(wc.bytes_sent, 0u);
   EXPECT_EQ(wc.frames_sent, wc.frames_received);
 
-  dl.shutdown_workers();
+  shutdown_workers(dl);
   fleet.stop();
 }
+
+// S = 4 is the shard count of the repository benchmark's sharded workload.
+INSTANTIATE_TEST_SUITE_P(Workers, DistEquivalenceByShards,
+                         ::testing::Values(1, 2, 4),
+                         [](const auto& info) {
+                           return "S" + std::to_string(info.param);
+                         });
 
 TEST(DistEquivalence, CheckpointV3RoundTripsAcrossLayerKinds) {
   const auto data = planted();
@@ -792,7 +811,7 @@ TEST(DistEquivalence, CheckpointV3RoundTripsAcrossLayerKinds) {
   Network distributed(net_config(data, 0, fleet.endpoints), 1);
   train(sharded, data, 20);
 
-  // Sharded -> distributed: load pushes the cache into the workers
+  // Local -> remote shards: load pushes the cache into the workers
   // (kSetShardWeights); re-pulling it proves the workers really hold the
   // new parameters rather than the coordinator's cache masking them.
   std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
@@ -800,10 +819,11 @@ TEST(DistEquivalence, CheckpointV3RoundTripsAcrossLayerKinds) {
   buffer.seekg(0);
   load_weights(distributed, buffer);
   auto& dl = dist_output(distributed);
-  dl.refresh_checkpoint_cache();
+  for (dist::RemoteShard* r : dist::remote_shards(dl))
+    r->refresh_checkpoint_cache();
   expect_same_parameters(sharded.stack(0), distributed.stack(0));
 
-  // Distributed -> sharded: the flushed cache serializes worker state.
+  // Remote -> local shards: the flushed cache serializes worker state.
   train(distributed, data, 10);
   dl.flush_maintenance();
   std::stringstream buffer2(std::ios::in | std::ios::out | std::ios::binary);
@@ -813,7 +833,7 @@ TEST(DistEquivalence, CheckpointV3RoundTripsAcrossLayerKinds) {
   load_weights(reloaded, buffer2);
   expect_same_parameters(distributed.stack(0), reloaded.stack(0));
 
-  dl.shutdown_workers();
+  shutdown_workers(dl);
   fleet.stop();
 }
 
@@ -835,7 +855,7 @@ TEST(DistCheckpoint, ShardFilesBootFreshWorkersBitExact) {
     auto& dl = dist_output(net);
     net.rebuild_all(nullptr);
     dl.flush_maintenance();
-    dl.checkpoint_shards(base);
+    for (dist::RemoteShard* r : dist::remote_shards(dl)) r->checkpoint(base);
     save_weights_file(net, coord);
     for (int s = 0; s < 2; ++s) {
       const auto w = dl.shard_weights(s);
@@ -845,7 +865,7 @@ TEST(DistCheckpoint, ShardFilesBootFreshWorkersBitExact) {
     }
     InferenceContext ctx(net);
     trained_top = net.predict_top1(probe, ctx, /*exact=*/true);
-    dl.shutdown_workers();
+    shutdown_workers(dl);
     fleet.stop();
   }
 
@@ -867,10 +887,8 @@ TEST(DistCheckpoint, ShardFilesBootFreshWorkersBitExact) {
     NetworkConfig cfg = net_config(data, 0, fleet.endpoints);
     auto store = ModelStore::from_shard_checkpoints(cfg, base, coord);
     const Network& net = *store->current()->network;
-    const auto* dlp = dynamic_cast<const dist::DistributedSampledLayer*>(
-        &net.stack(net.stack_depth() - 1));
-    ASSERT_NE(dlp, nullptr);
-    const auto& dl = *dlp;
+    const Layer& dl = net.stack(net.stack_depth() - 1);
+    ASSERT_EQ(dist::remote_shards(dl).size(), 2u);
     for (int s = 0; s < 2; ++s) {
       EXPECT_TRUE(bytes_equal(dl.shard_weights(s),
                               {saved_w[s].data(), saved_w[s].size()}))
@@ -915,7 +933,7 @@ TEST(DistDegraded, InferenceSkipsDeadShardsTrainingPropagates) {
   train(net, data, 10);
   net.rebuild_all(nullptr);
   auto& dl = dist_output(net);
-  EXPECT_EQ(dl.unhealthy_shards(), 0);
+  EXPECT_EQ(dist::unhealthy_shards(dl), 0);
 
   // Kill worker 1. The next inference marks it unhealthy and answers from
   // the surviving shard: every candidate id must come from shard 0's rows.
@@ -930,7 +948,7 @@ TEST(DistDegraded, InferenceSkipsDeadShardsTrainingPropagates) {
   dl.forward_inference({}, hidden, /*exact=*/true, rng, visited, ids, act);
   ASSERT_FALSE(ids.empty());
   for (Index id : ids) EXPECT_LT(id, dl.shard_offset(1));
-  EXPECT_EQ(dl.unhealthy_shards(), 1);
+  EXPECT_EQ(dist::unhealthy_shards(dl), 1);
 
   // Top-k keeps answering too (degraded, but never hanging or throwing).
   const auto topk = net.predict_topk(data.test[1].features, ctx, 5, true);
@@ -941,7 +959,7 @@ TEST(DistDegraded, InferenceSkipsDeadShardsTrainingPropagates) {
   // shard's gradients corrupts the model, so the failure propagates.
   EXPECT_THROW(dl.apply_updates(5e-3f, nullptr), dist::TransportError);
 
-  dl.shutdown_workers();
+  shutdown_workers(dl);
   fleet.stop();
 }
 

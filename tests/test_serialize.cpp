@@ -6,6 +6,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "core/builder.h"
 #include "core/serialize.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
@@ -160,28 +161,33 @@ TEST(Serialize, WritesVersion5WithPrecisionTagAndRejectsFutureVersions) {
   EXPECT_THROW(load_weights(net, tampered), Error);
 }
 
+/// The dense full-softmax baseline: a builder dense stack.
+Network dense_network(const SyntheticDataset& data, std::uint64_t seed,
+                      int depth = 1) {
+  NetworkBuilder b(data.train.feature_dim());
+  b.dense(8);
+  for (int i = 1; i < depth; ++i) b.dense(8);
+  return b.dense(data.train.label_dim(), Activation::kSoftmax)
+      .max_batch(16)
+      .seed(seed)
+      .build(2);
+}
+
 TEST(Serialize, DenseNetworkRoundTrip) {
   const auto data = tiny_data();
-  DenseNetwork::Config cfg;
-  cfg.input_dim = data.train.feature_dim();
-  cfg.hidden_units = 8;
-  cfg.output_units = data.train.label_dim();
-  cfg.max_batch_size = 16;
-  DenseNetwork a(cfg, 2);
-  ThreadPool pool(2);
-  Batcher batcher(data.train, 16, true, 5);
-  for (int i = 0; i < 20; ++i) a.step(data.train, batcher.next(), 5e-3f, pool);
+  Network a = dense_network(data, 321);
+  a.set_use_locks(true);
+  train_a_bit(a, data.train, 20);
 
   std::stringstream buffer;
   save_weights(a, buffer);
-  cfg.seed = 777;
-  DenseNetwork b(cfg, 2);
+  Network b = dense_network(data, 777);
   load_weights(b, buffer);
 
-  std::vector<float> sa, sb;
+  InferenceContext ca(a), cb(b);
   for (std::size_t i = 0; i < 30; ++i) {
-    EXPECT_EQ(a.predict_top1(data.test[i].features, sa),
-              b.predict_top1(data.test[i].features, sb));
+    EXPECT_EQ(a.predict_top1(data.test[i].features, ca, true),
+              b.predict_top1(data.test[i].features, cb, true));
   }
 }
 
@@ -190,14 +196,23 @@ TEST(Serialize, KindMismatchRejected) {
   Network slide_net(net_config(data), 2);
   std::stringstream buffer;
   save_weights(slide_net, buffer);
+  const std::string bytes = buffer.str();
 
-  DenseNetwork::Config cfg;
-  cfg.input_dim = data.train.feature_dim();
-  cfg.hidden_units = 8;
-  cfg.output_units = data.train.label_dim();
-  cfg.max_batch_size = 4;
-  DenseNetwork dense(cfg, 1);
-  EXPECT_THROW(load_weights(dense, buffer), Error);
+  // An unknown kind word (offset 8, after magic and version) is rejected.
+  std::string unknown = bytes;
+  const std::uint32_t bad_kind = 2;
+  std::memcpy(unknown.data() + 8, &bad_kind, 4);
+  std::stringstream unknown_in(unknown);
+  Network same_shape(net_config(data), 1);
+  EXPECT_THROW(load_weights(same_shape, unknown_in), Error);
+
+  // Kind 1 (the legacy dense baseline) only loads into a single-layer stack.
+  std::string legacy = bytes;
+  const std::uint32_t dense_kind = 1;
+  std::memcpy(legacy.data() + 8, &dense_kind, 4);
+  std::stringstream legacy_in(legacy);
+  Network deeper = dense_network(data, 5, /*depth=*/2);
+  EXPECT_THROW(load_weights(deeper, legacy_in), Error);
 }
 
 TEST(Serialize, IncrementalMemoInvalidatedOnLoad) {

@@ -72,6 +72,19 @@ const ShardedSampledLayer& sharded_output(const Network& net) {
   return *layer;
 }
 
+/// In-process shard `s` of a sharded layer.
+const SampledLayer& local_shard(const ShardedSampledLayer& layer, int s) {
+  return dynamic_cast<const SampledLayer&>(layer.shard(s));
+}
+
+/// Dirty neurons queued across every shard's delta-reinsert queue.
+std::size_t dirty_pending(const ShardedSampledLayer& layer) {
+  std::size_t total = 0;
+  for (int s = 0; s < layer.shards(); ++s)
+    total += local_shard(layer, s).dirty_pending();
+  return total;
+}
+
 /// Reads global weight row `u` of any stack layer through its shard spans.
 std::span<const float> global_row(const Layer& layer, Index u) {
   for (int s = layer.num_shards() - 1; s >= 0; --s) {
@@ -324,12 +337,12 @@ TEST(ShardedLayer, GradientsMatchMonolithicWhenExhaustive) {
     const int s = sharded_out.shard_of(u);
     const Index local = u - sharded_out.shard_offset(s);
     const float* ga = mono_out.gradient_row(u);
-    const float* gb = sharded_out.shard(s).gradient_row(local);
+    const float* gb = local_shard(sharded_out, s).gradient_row(local);
     ASSERT_EQ(std::memcmp(ga, gb, mono.config().hidden_units * sizeof(float)),
               0)
         << "gradient row " << u;
     EXPECT_EQ(mono_out.bias_gradient(u),
-              sharded_out.shard(s).bias_gradient(local));
+              local_shard(sharded_out, s).bias_gradient(local));
   }
   // Backpropagated error reaching the embedding matches to rounding: the
   // shard-segmented active order changes the prev.err accumulation order
@@ -372,16 +385,17 @@ TEST(ShardedLayer, BackwardRoutesGradientsOnlyToActiveShards) {
   for (Index u = 0; u < 60; ++u) {
     const int s = out.shard_of(u);
     const Index local = u - out.shard_offset(s);
-    const float* g = out.shard(s).gradient_row(local);
+    const float* g = local_shard(out, s).gradient_row(local);
     const bool any = std::any_of(g, g + 16, [](float v) { return v != 0.0f; });
     if (active.count(u)) continue;  // active rows may or may not move
     EXPECT_FALSE(any) << "inactive unit " << u << " received gradient";
-    EXPECT_EQ(out.shard(s).bias_gradient(local), 0.0f);
+    EXPECT_EQ(local_shard(out, s).bias_gradient(local), 0.0f);
   }
   // The labeled unit itself must have moved (softmax pulls it up).
   const Index label = data.train[1].labels[0];
   const int ls = out.shard_of(label);
-  EXPECT_NE(out.shard(ls).bias_gradient(label - out.shard_offset(ls)), 0.0f);
+  EXPECT_NE(local_shard(out, ls).bias_gradient(label - out.shard_offset(ls)),
+            0.0f);
 }
 
 // ---- Checkpoint v3 + resharding -------------------------------------------
@@ -530,14 +544,14 @@ TEST_P(ShardedMaintenanceStress, TrainWhileRebuildAtS4IsSafe) {
   const ShardedSampledLayer& out = sharded_output(net);
   std::uint64_t publishes = 0;
   for (int s = 0; s < out.shards(); ++s)
-    publishes += out.shard(s).tables()->publish_count();
+    publishes += local_shard(out, s).tables()->publish_count();
   EXPECT_GT(publishes + static_cast<std::uint64_t>(out.rebuild_count()) +
                 static_cast<std::uint64_t>(out.delta_reinserted()),
             0u);
 
   // flush_maintenance drains every shard's dirty queue.
   net.flush_maintenance();
-  EXPECT_EQ(out.dirty_pending(), 0u);
+  EXPECT_EQ(dirty_pending(out), 0u);
 
   // Still coherent end to end.
   net.rebuild_all(&trainer.pool());
@@ -567,7 +581,7 @@ TEST(ShardedLayer, AsyncDeltaReinsertsProceedPerShard) {
   net.flush_maintenance();
   const ShardedSampledLayer& out = sharded_output(net);
   EXPECT_GT(out.delta_reinserted(), 0);
-  EXPECT_EQ(out.dirty_pending(), 0u);
+  EXPECT_EQ(dirty_pending(out), 0u);
 }
 
 // ---- Serving: sharded snapshot hot-swap under load ------------------------
