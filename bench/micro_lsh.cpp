@@ -109,16 +109,30 @@ TableFixture& fixture() {
   return f;
 }
 
-void BM_TableInsert(benchmark::State& state) {
+void BM_TableInsertBatch(benchmark::State& state) {
+  // Hash + one batched insert of `batch` rows: the work of a delta pass or
+  // a label-growth step of that size.
   auto& f = fixture();
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const auto l = static_cast<std::size_t>(f.group.l());
+  std::vector<Index> ids(batch);
+  std::vector<std::uint32_t> keys(batch * l);
   Rng rng(6);
-  Index id = 0;
+  Index next = 0;
   for (auto _ : state) {
-    f.group.insert_dense(id++ % 50'000, f.rows.data() + (id % 50'000) * kDim,
-                         rng);
+    for (std::size_t i = 0; i < batch; ++i) {
+      ids[i] = next++ % 50'000;
+      f.group.query_keys_dense(
+          f.rows.data() + static_cast<std::size_t>(ids[i]) * kDim,
+          {keys.data() + i * l, l});
+    }
+    f.group.insert(ids, keys, rng);
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch));
 }
-BENCHMARK(BM_TableInsert);
+BENCHMARK(BM_TableInsertBatch)->Arg(256);
 
 void BM_TableQueryAndSample(benchmark::State& state) {
   auto& f = fixture();

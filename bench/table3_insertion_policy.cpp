@@ -6,6 +6,8 @@
 // Paper values: Reservoir 0.371s vs FIFO 0.762s insertion-only; both ~18s
 // full insertion — i.e. hashing dominates and the policy choice is nearly
 // free, which is why the paper uses FIFO in its experiments.
+#include <numeric>
+
 #include "bench_common.h"
 
 using namespace slide;
@@ -57,23 +59,17 @@ int main() {
     LshTableGroup tables(make_hash_family(family),
                          {.range_pow = 12, .bucket_size = 128,
                           .policy = policy});
-    // Insertion-only: keys precomputed.
+    // Insertion-only: keys precomputed, one batch of every neuron.
+    std::vector<Index> ids(neurons);
+    std::iota(ids.begin(), ids.end(), Index{0});
     Rng ins_rng(7);
     WallTimer insert_timer;
-    for (Index i = 0; i < neurons; ++i) {
-      tables.insert(i, {keys.data() + static_cast<std::size_t>(i) * 50, 50},
-                    ins_rng);
-    }
+    tables.insert(ids, keys, ins_rng);
     const double insert_seconds = insert_timer.seconds();
 
     // Full insertion: hash + insert (single-threaded like the paper table).
-    tables.clear();
-    Rng full_rng(9);
     WallTimer full_timer;
-    for (Index i = 0; i < neurons; ++i) {
-      tables.insert_dense(i, rows.data() + static_cast<std::size_t>(i) * fan_in,
-                          full_rng);
-    }
+    tables.build_from_rows(rows.data(), fan_in, neurons);
     const double full_seconds = full_timer.seconds();
 
     table.add_row({policy == InsertionPolicy::kReservoir ? "Reservoir"

@@ -1004,33 +1004,18 @@ void SampledLayer::build_group(LshTableGroup& group, ThreadPool* pool) {
   // build; afterwards the memo is kept in sync by apply_updates, so keys
   // come straight from the memoized projections — O(K*L) per neuron instead
   // of O(K*L*d/3).
-  group.clear();
   const int num_proj = simhash_->num_projections();
   const bool have_memo = memo_initialized_.load(std::memory_order_acquire);
-  auto build_unit = [&](std::size_t begin, std::size_t end, Rng& rng) {
-    std::vector<std::uint32_t> keys(static_cast<std::size_t>(group.l()));
-    for (std::size_t u = begin; u < end; ++u) {
-      float* memo_row = projection_memo_.data() +
-                        u * static_cast<std::size_t>(num_proj);
-      if (!have_memo)
-        simhash_->project_dense(weight_row(static_cast<Index>(u)), memo_row);
-      simhash_->keys_from_projections(memo_row, keys);
-      group.insert(static_cast<Index>(u), keys, rng);
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    std::vector<Rng> rngs;
-    Rng seeder(seed_ + 77);
-    for (int t = 0; t < pool->num_threads(); ++t) rngs.push_back(seeder.fork());
-    pool->parallel_range(units_,
-                         [&](std::size_t begin, std::size_t end, int tid) {
-                           build_unit(begin, end,
-                                      rngs[static_cast<std::size_t>(tid)]);
-                         });
-  } else {
-    Rng rng(seed_ + 77);
-    build_unit(0, units_, rng);
-  }
+  group.build(
+      units_,
+      [&](Index u, std::span<std::uint32_t> keys) {
+        float* memo_row = projection_memo_.data() +
+                          static_cast<std::size_t>(u) *
+                              static_cast<std::size_t>(num_proj);
+        if (!have_memo) simhash_->project_dense(weight_row(u), memo_row);
+        simhash_->keys_from_projections(memo_row, keys);
+      },
+      seed_ + 77, pool);
   memo_initialized_.store(true, std::memory_order_release);
 }
 
@@ -1091,30 +1076,35 @@ void SampledLayer::run_delta_reinsert() {
   // insertion order.
   std::sort(ids.begin(), ids.end());
 
-  // Inserts target the LIVE active group: readers sample from it
-  // concurrently (see lsh/hash_table.h for why that is sound). The moved
-  // neurons' old bucket entries stay behind as stale-but-valid samples
-  // until the next full rebuild — the same staleness the paper's
-  // between-rebuild windows already accept.
-  LshTableGroup& group = tables_->active_group();
-  Rng rng(seed_ + 0x5EEDull +
-          static_cast<std::uint64_t>(
-              delta_reinserted_.load(std::memory_order_relaxed)));
+  // Hash the batch first (reading rows that trainers may be moving), then
+  // insert it into a copy of the active group and publish that copy:
+  // readers keep sampling the active group untouched. The moved neurons'
+  // old bucket entries stay behind as stale-but-valid samples until the
+  // next full rebuild — the same staleness the paper's between-rebuild
+  // windows already accept.
   const bool memo = config_.incremental_rehash && simhash_ != nullptr &&
                     memo_initialized_.load(std::memory_order_acquire);
   const int num_proj = memo ? simhash_->num_projections() : 0;
-  std::vector<std::uint32_t> keys(static_cast<std::size_t>(tables_->l()));
-  for (Index u : ids) {
+  const std::size_t l = static_cast<std::size_t>(tables_->l());
+  std::vector<std::uint32_t> keys(ids.size() * l);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::span<std::uint32_t> row_keys{keys.data() + i * l, l};
     if (memo) {
       const float* memo_row =
           projection_memo_.data() +
-          static_cast<std::size_t>(u) * static_cast<std::size_t>(num_proj);
-      simhash_->keys_from_projections(memo_row, keys);
-      group.insert(u, keys, rng);
+          static_cast<std::size_t>(ids[i]) * static_cast<std::size_t>(num_proj);
+      simhash_->keys_from_projections(memo_row, row_keys);
     } else {
-      group.insert_dense(u, weight_row(u), rng);
+      tables_->query_keys_dense(weight_row(ids[i]), row_keys);
     }
   }
+  Rng rng(seed_ + 0x5EEDull +
+          static_cast<std::uint64_t>(
+              delta_reinserted_.load(std::memory_order_relaxed)));
+  LshTableGroup& shadow = tables_->shadow_group();
+  shadow.copy_from(tables_->active());
+  shadow.insert(ids, keys, rng);
+  tables_->publish_shadow();
   delta_reinserted_.fetch_add(static_cast<long>(ids.size()),
                               std::memory_order_acq_rel);
 }
@@ -1223,7 +1213,11 @@ Index SampledLayer::add_units(Index n) {
   retriever_->resize_universe(
       retrieval::RowView{weights_.data(), fan_in_, new_units});
   if (retriever_->supports_delta()) {
-    for (Index u = old_units; u < new_units; ++u) retriever_->insert(u);
+    // Appended ids start live (resize_universe), so one batched reinsert
+    // indexes them all.
+    std::vector<Index> appended(n);
+    std::iota(appended.begin(), appended.end(), old_units);
+    retriever_->reinsert(appended);
     if (config_.maintenance == MaintenancePolicy::kAsyncDelta &&
         config_.rebuild.enabled && dirty_flag_ != nullptr) {
       std::lock_guard lock(dirty_mutex_);
@@ -1263,14 +1257,6 @@ void SampledLayer::forward_inference(std::span<const Index> prev_ids,
                                      VisitedSet& visited,
                                      std::vector<Index>& ids_out,
                                      std::vector<float>& act_out) const {
-  forward_inference_budgeted(prev_ids, prev_act, exact, rng, visited,
-                             /*budget_override=*/0, ids_out, act_out);
-}
-
-void SampledLayer::forward_inference_budgeted(
-    std::span<const Index> prev_ids, std::span<const float> prev_act,
-    bool exact, Rng& rng, VisitedSet& visited, Index budget_override,
-    std::vector<Index>& ids_out, std::vector<float>& act_out) const {
   ids_out.clear();
   bool scored = false;  // escalation fills act_out itself
   const bool tombstoned =
@@ -1289,11 +1275,8 @@ void SampledLayer::forward_inference_budgeted(
     }
   } else {
     Index target = std::min<Index>(config_.sampling.target, units_);
-    // Candidate budget: the per-query override (distributed coordinator)
-    // wins over the configured knob; either caps the sampling target.
-    const Index budget = budget_override > 0
-                             ? budget_override
-                             : config_.sampling.inference_budget;
+    // The configured candidate budget caps the sampling target.
+    const Index budget = config_.sampling.inference_budget;
     if (budget > 0) target = std::min(target, budget);
     retriever_->retrieve(prev_ids, prev_act, target, rng, visited, ids_out);
     const Index floor =

@@ -505,18 +505,6 @@ class SampledLayer : public Layer {
                          std::vector<Index>& ids_out,
                          std::vector<float>& act_out) const override;
 
-  /// forward_inference with a per-query candidate-budget override: when
-  /// `budget_override` > 0 it caps the sampling target for this query (the
-  /// distributed coordinator's per-shard split of a global budget);
-  /// 0 falls back to config().sampling.inference_budget, then the target.
-  /// Exact mode ignores the budget (all units are scored by request).
-  void forward_inference_budgeted(std::span<const Index> prev_ids,
-                                  std::span<const float> prev_act, bool exact,
-                                  Rng& rng, VisitedSet& visited,
-                                  Index budget_override,
-                                  std::vector<Index>& ids_out,
-                                  std::vector<float>& act_out) const;
-
   /// Softmax + cross-entropy over the slot's active neurons with the given
   /// true labels (which must be the first entries of the active set, i.e.
   /// the `forced` ids of forward()). Fills err with deltas scaled by
@@ -690,7 +678,7 @@ class SampledLayer : public Layer {
   /// through whichever precision tier is active, prefetching the candidate
   /// rows kPrefetchDistance ahead (the rows are LSH-sampled, i.e. scattered
   /// — exactly the access pattern the software prefetch pays for). Shared
-  /// by forward_inference_budgeted and escalate_to_exact.
+  /// by forward_inference and escalate_to_exact.
   void score_rows(std::span<const Index> ids, std::span<const Index> prev_ids,
                   std::span<const float> prev_act, float* out) const;
   /// Adaptive-policy escalation: scores every unit into act_out (ids_out

@@ -426,7 +426,6 @@ Frame QueryTopkMsg::to_frame(bool bf16) const {
   PayloadWriter w(f.payload);
   write_rng_state(w, rng);
   w.u8(exact ? 1 : 0);
-  w.u32(budget);
   prev.write(w, bf16);
   return f;
 }
@@ -436,7 +435,6 @@ QueryTopkMsg QueryTopkMsg::from_frame(const Frame& f) {
   QueryTopkMsg m;
   m.rng = read_rng_state(r);
   m.exact = r.u8() != 0;
-  m.budget = r.u32();
   m.prev.read(r, f.bf16_values());
   return m;
 }

@@ -22,7 +22,7 @@
 //   kFlushMaintenance  kAck
 //   kRefreshMirror     kAck
 //   kSetUseLocks       kAck
-//   kQueryTopk         kQueryTopkResp      inference candidates (budgeted)
+//   kQueryTopk         kQueryTopkResp      inference candidates
 //   kCheckpointShard   kAck                worker writes its shard file
 //   kFetchShard        kFetchShardResp     weights + bias (tests, rescatter)
 //   kSetShardWeights   kAck                coordinator pushes weights + bias
@@ -66,7 +66,9 @@ namespace slide::dist {
 //   3 — dynamic label lifecycle: kAddUnits grows a shard's unit rows in
 //       place, kRetireUnits tombstones shard-local ids out of retrieval
 //       (both answer kAck). Workers speaking v2 reject them as unknown.
-inline constexpr std::uint32_t kProtocolVersion = 3;
+//   4 — kQueryTopk drops its per-query candidate-budget word: shards cap
+//       candidates with their configured inference budget only.
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 enum class MsgType : std::uint8_t {
   kHello = 1,
@@ -225,9 +227,6 @@ struct SetUseLocksMsg {
 struct QueryTopkMsg {
   Rng::State rng{};
   bool exact = false;
-  /// Candidate budget override for this query (satellite: global budget
-  /// split across shards); 0 keeps the shard's configured target.
-  Index budget = 0;
   WireActiveSet prev;
 
   Frame to_frame(bool bf16) const;

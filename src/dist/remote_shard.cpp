@@ -172,9 +172,6 @@ void RemoteShard::forward_inference(std::span<const Index> prev_ids,
   QueryTopkMsg msg;
   msg.rng = rng.state();
   msg.exact = exact;
-  // budget 0 = the shard's own config, which already carries its
-  // proportional split of the global inference budget.
-  msg.budget = 0;
   msg.prev = capture_spans(prev_ids, prev_act);
   Frame rf;
   try {

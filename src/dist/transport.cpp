@@ -110,14 +110,17 @@ TcpTransport::TcpTransport(int fd) : fd_(fd) {
   set_nodelay(fd);
 }
 
-TcpTransport::~TcpTransport() { close(); }
+TcpTransport::~TcpTransport() {
+  close();
+  ::close(fd_);
+}
 
 void TcpTransport::close() {
-  const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
+  // shutdown() wakes a recv/send blocked on the socket in another thread;
+  // the fd itself stays open until the owner destroys the transport, so
+  // that thread never touches a released (or reused) descriptor.
+  if (!closed_.exchange(true, std::memory_order_acq_rel))
+    ::shutdown(fd_, SHUT_RDWR);
 }
 
 void TcpTransport::send(const Frame& frame) {
@@ -125,8 +128,9 @@ void TcpTransport::send(const Frame& frame) {
   const std::uint8_t* p = send_buf_.data();
   std::size_t left = send_buf_.size();
   while (left > 0) {
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) throw TransportClosed("tcp send: transport closed");
+    if (closed_.load(std::memory_order_acquire))
+      throw TransportClosed("tcp send: transport closed");
+    const int fd = fd_;
     const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -145,8 +149,9 @@ void TcpTransport::read_exact(std::uint8_t* dst, std::size_t n,
   const auto start = Clock::now();
   std::size_t got = 0;
   while (got < n) {
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) throw TransportClosed("tcp recv: transport closed");
+    if (closed_.load(std::memory_order_acquire))
+      throw TransportClosed("tcp recv: transport closed");
+    const int fd = fd_;
     pollfd pfd{fd, POLLIN, 0};
     const int wait = remaining_ms(start, timeout_ms, "tcp recv");
     const int pr = ::poll(&pfd, 1, wait);
@@ -172,8 +177,9 @@ std::size_t TcpTransport::recv_raw(void* dst, std::size_t cap,
   SLIDE_CHECK(cap > 0, "tcp recv_raw: zero-capacity buffer");
   const auto start = Clock::now();
   while (true) {
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) throw TransportClosed("tcp recv_raw: transport closed");
+    if (closed_.load(std::memory_order_acquire))
+      throw TransportClosed("tcp recv_raw: transport closed");
+    const int fd = fd_;
     pollfd pfd{fd, POLLIN, 0};
     const int wait = remaining_ms(start, timeout_ms, "tcp recv_raw");
     const int pr = ::poll(&pfd, 1, wait);
@@ -198,8 +204,9 @@ void TcpTransport::send_raw(const void* data, std::size_t n) {
   const std::uint8_t* p = static_cast<const std::uint8_t*>(data);
   std::size_t left = n;
   while (left > 0) {
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) throw TransportClosed("tcp send_raw: transport closed");
+    if (closed_.load(std::memory_order_acquire))
+      throw TransportClosed("tcp send_raw: transport closed");
+    const int fd = fd_;
     const ssize_t w = ::send(fd, p, left, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
@@ -226,7 +233,7 @@ Frame TcpTransport::recv(int timeout_ms) {
 // TcpListener
 // ---------------------------------------------------------------------------
 
-TcpListener::TcpListener(const std::string& host, int port) : fd_(-1) {
+TcpListener::TcpListener(const std::string& host, int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw_errno("tcp listen socket");
   int one = 1;
@@ -243,17 +250,19 @@ TcpListener::TcpListener(const std::string& host, int port) : fd_(-1) {
   socklen_t len = sizeof(addr);
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0)
     port_ = ntohs(addr.sin_port);
-  fd_.store(fd, std::memory_order_release);
+  fd_ = fd;
 }
 
-TcpListener::~TcpListener() { close(); }
+TcpListener::~TcpListener() {
+  close();
+  ::close(fd_);
+}
 
 void TcpListener::close() {
-  const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
+  // As TcpTransport::close(): shutdown() makes a concurrent accept() fail
+  // (EINVAL); the fd is released by the destructor.
+  if (!closed_.exchange(true, std::memory_order_acq_rel))
+    ::shutdown(fd_, SHUT_RDWR);
 }
 
 std::string TcpListener::endpoint() const {
@@ -263,8 +272,9 @@ std::string TcpListener::endpoint() const {
 std::unique_ptr<Transport> TcpListener::accept(int timeout_ms) {
   const auto start = Clock::now();
   while (true) {
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) throw TransportClosed("tcp accept: listener closed");
+    if (closed_.load(std::memory_order_acquire))
+      throw TransportClosed("tcp accept: listener closed");
+    const int fd = fd_;
     pollfd pfd{fd, POLLIN, 0};
     const int wait = remaining_ms(start, timeout_ms, "tcp accept");
     const int pr = ::poll(&pfd, 1, wait);

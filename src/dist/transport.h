@@ -73,7 +73,9 @@ class Transport {
   virtual Frame recv(int timeout_ms) = 0;
 
   /// Makes concurrent and future recv/send calls fail fast with
-  /// TransportClosed. Idempotent.
+  /// TransportClosed. Safe to call from another thread than the one
+  /// blocked in recv/send: the connection's resources are released only
+  /// when the transport is destroyed. Idempotent.
   virtual void close() = 0;
 
   virtual const char* kind() const noexcept = 0;
@@ -112,7 +114,8 @@ class Listener {
   /// on expiry, TransportClosed after close().
   virtual std::unique_ptr<Transport> accept(int timeout_ms) = 0;
 
-  /// Unblocks a concurrent accept() with TransportClosed. Idempotent.
+  /// Unblocks a concurrent accept() with TransportClosed; resources are
+  /// released when the listener is destroyed. Idempotent.
   virtual void close() = 0;
 
   /// The endpoint peers should dial — for "tcp::0" this carries the
@@ -146,7 +149,8 @@ class TcpTransport final : public Transport {
   /// Reads exactly n bytes honoring the deadline accumulated so far.
   void read_exact(std::uint8_t* dst, std::size_t n, int timeout_ms);
 
-  std::atomic<int> fd_;
+  const int fd_;
+  std::atomic<bool> closed_{false};
   std::vector<std::uint8_t> send_buf_;
 };
 
@@ -162,7 +166,8 @@ class TcpListener final : public Listener {
   int port() const noexcept { return port_; }
 
  private:
-  std::atomic<int> fd_;
+  int fd_ = -1;
+  std::atomic<bool> closed_{false};
   int port_ = 0;
 };
 

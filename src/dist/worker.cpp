@@ -235,9 +235,8 @@ Frame ShardWorker::handle_query_topk(const Frame& f) {
   const std::span<const float> prev_act{query_prev_.act.data(),
                                         query_prev_.act.size()};
   rng_.set_state(m.rng);
-  layer.forward_inference_budgeted(prev_ids, prev_act, m.exact, rng_,
-                                   *visited_, m.budget, query_ids_,
-                                   query_act_);
+  layer.forward_inference(prev_ids, prev_act, m.exact, rng_, *visited_,
+                          query_ids_, query_act_);
   QueryTopkResp resp;
   resp.rng = rng_.state();
   resp.ids = query_ids_;
@@ -315,6 +314,9 @@ InProcessWorker::InProcessWorker(const std::string& endpoint)
 InProcessWorker::~InProcessWorker() { stop(); }
 
 void InProcessWorker::stop() {
+  // close() only wakes the serve thread (accept or recv fails with
+  // TransportClosed); the thread's owners release the sockets: the serve
+  // thread its transport, this object its listener.
   if (listener_) listener_->close();
   {
     // Unblock a serve loop still waiting on its coordinator.

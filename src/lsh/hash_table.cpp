@@ -1,6 +1,7 @@
 #include "lsh/hash_table.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace slide {
 
@@ -11,70 +12,59 @@ HashTable::HashTable(const Config& config) : config_(config) {
               "HashTable: bucket_size must be >= 1");
   const std::size_t buckets = std::size_t{1} << config_.range_pow;
   shift_ = 32u - static_cast<unsigned>(config_.range_pow);
-  ids_.resize(buckets * static_cast<std::size_t>(config_.bucket_size));
-  counts_ = std::vector<std::atomic<std::uint32_t>>(buckets);
+  offsets_.assign(buckets + 1, 0);
+  seen_.assign(buckets, 0);
 }
 
-HashTable::HashTable(HashTable&& other) noexcept
-    : config_(other.config_),
-      shift_(other.shift_),
-      ids_(std::move(other.ids_)) {
-  counts_ = std::vector<std::atomic<std::uint32_t>>(other.counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i)
-    counts_[i].store(other.counts_[i].load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
+void HashTable::insert(std::span<const std::uint32_t> keys,
+                       std::span<const Index> ids, Rng& rng) {
+  SLIDE_CHECK(keys.size() == ids.size(),
+              "HashTable::insert: one key per id");
+  reserve(keys.data(), keys.size(), 1);
+  for (std::size_t i = 0; i < ids.size(); ++i) place(keys[i], ids[i], rng);
 }
 
-void HashTable::insert(std::uint32_t key, Index id, Rng& rng) {
-  const std::uint32_t b = bucket_of(key);
+void HashTable::reserve(const std::uint32_t* keys, std::size_t count,
+                        std::size_t stride) {
   const auto cap = static_cast<std::uint32_t>(config_.bucket_size);
-  Index* slots = ids_.data() + static_cast<std::size_t>(b) * cap;
-  // fetch_add gives each insert a unique sequence number within the bucket,
-  // which is exactly what both policies need.
-  const std::uint32_t n =
-      counts_[b].fetch_add(1, std::memory_order_relaxed);
-  if (n < cap) {
-    slots[n] = id;
-    return;
-  }
-  switch (config_.policy) {
-    case InsertionPolicy::kReservoir: {
-      // Vitter: the (n+1)-th item replaces a uniform slot with probability
-      // cap/(n+1); every item ends up retained with equal probability.
-      const std::uint32_t j = rng.uniform(n + 1);
-      if (j < cap) slots[j] = id;
-      break;
-    }
-    case InsertionPolicy::kFifo:
-      slots[n % cap] = id;
-      break;
-  }
-}
+  bool grows = false;
+  for (std::size_t i = 0; i < count && !grows; ++i)
+    grows = seen_[bucket_of(keys[i * stride])] < cap;
+  if (!grows) return;  // every addressed bucket is already full
 
-std::span<const Index> HashTable::bucket(std::uint32_t key) const {
-  const std::uint32_t b = bucket_of(key);
-  const auto cap = static_cast<std::uint32_t>(config_.bucket_size);
-  const std::uint32_t n =
-      std::min(counts_[b].load(std::memory_order_relaxed), cap);
-  return {ids_.data() + static_cast<std::size_t>(b) * cap, n};
+  // next[b + 1] first counts the batch's inserts into bucket b, then
+  // becomes the prefix sum of the grown sizes min(seen + batch, cap).
+  const std::size_t buckets = seen_.size();
+  std::vector<std::uint32_t> next(buckets + 1, 0);
+  for (std::size_t i = 0; i < count; ++i) ++next[bucket_of(keys[i * stride]) + 1];
+  std::uint64_t total = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    total += std::min<std::uint64_t>(std::uint64_t{seen_[b]} + next[b + 1],
+                                     cap);
+    next[b + 1] = static_cast<std::uint32_t>(total);
+  }
+  SLIDE_CHECK(total <= std::numeric_limits<std::uint32_t>::max(),
+              "HashTable: more than 2^32 stored ids");
+
+  // Each bucket keeps its ids at the same positions from its new start.
+  std::vector<Index> grown(static_cast<std::size_t>(total));
+  for (std::size_t b = 0; b < buckets; ++b) {
+    std::copy(ids_.begin() + offsets_[b], ids_.begin() + offsets_[b + 1],
+              grown.begin() + next[b]);
+  }
+  offsets_.swap(next);
+  ids_.swap(grown);
 }
 
 void HashTable::clear() {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-}
-
-std::size_t HashTable::total_stored() const {
-  std::size_t total = 0;
-  const auto cap = static_cast<std::uint32_t>(config_.bucket_size);
-  for (const auto& c : counts_)
-    total += std::min(c.load(std::memory_order_relaxed), cap);
-  return total;
+  std::fill(offsets_.begin(), offsets_.end(), 0);
+  std::fill(seen_.begin(), seen_.end(), 0);
+  std::vector<Index>().swap(ids_);
 }
 
 std::size_t HashTable::occupied_buckets() const {
   std::size_t occupied = 0;
-  for (const auto& c : counts_)
-    occupied += c.load(std::memory_order_relaxed) > 0 ? 1 : 0;
+  for (std::uint32_t n : seen_) occupied += n > 0 ? 1 : 0;
   return occupied;
 }
 

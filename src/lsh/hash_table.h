@@ -1,30 +1,30 @@
-// A single LSH hash table with fixed-capacity buckets.
+// A single LSH hash table with capped buckets in a compact (CSR) layout.
 //
 // Buckets store neuron ids only (paper §2: "We only store pointers ...
 // storing whole data vectors is very memory inefficient"). Every bucket is
-// limited to a fixed size, which caps memory and balances thread load
+// capped at bucket_size ids, which bounds memory and balances thread load
 // during parallel aggregation (paper §3.2). When a bucket is full, one of
 // two replacement policies applies (paper §4.2, Table 3):
 //   * Reservoir — Vitter's reservoir sampling; keeps every inserted item
 //     with equal probability, preserving the adaptive-sampling property.
 //   * FIFO — ring overwrite of the oldest entry; cheaper bookkeeping.
 //
-// Inserts may run concurrently from many threads (rebuilds are parallel
-// over neurons). The bucket counters are atomic; slot writes are
-// intentionally unsynchronized in the HOGWILD spirit — a lost update
-// replaces one sampled id with another equally-valid one.
+// Layout: per-bucket u32 offsets into one compact id array, plus a
+// per-bucket count of inserts seen. Bucket b holds min(seen, bucket_size)
+// ids at ids_[offsets_[b], offsets_[b+1]), so the table stores only the
+// ids it keeps — not 2^range_pow × bucket_size slots. Slot i of a bucket
+// holds exactly what slot i of a fixed bucket_size-slot bucket would hold
+// after the same insert stream.
 //
-// Delta maintenance (core/layer.h, MaintenancePolicy::kAsyncDelta) extends
-// the same argument to insert-while-read: the background maintenance
-// thread re-inserts dirty neurons into a table that trainer threads are
-// concurrently sampling from. A reader racing a slot write observes either
-// the old or the new id — both valid, naturally-aligned 4-byte neuron ids —
-// and bucket() clamps the atomic counter, so no reader ever indexes past
-// initialized slots. These races are intentional and suppressed under
-// ThreadSanitizer (.tsan-suppressions).
+// Inserts are batched and come in two steps so that a group of tables can
+// interleave one Rng across them (lsh/table_group.h): reserve() grows every
+// bucket the batch addresses to the size the batch will fill, re-laying
+// the table out at most once; place() then writes one id into room already
+// made. A table has one writer and no concurrent readers while it is being
+// written: live readers only ever see tables that MaintainedTables has
+// published (table_group.h).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -41,40 +41,73 @@ class HashTable {
   struct Config {
     /// Number of buckets = 2^range_pow.
     int range_pow = 15;
-    /// Fixed bucket capacity (the paper's reference implementation uses 128).
+    /// Bucket capacity (the paper's reference implementation uses 128).
     int bucket_size = 128;
     InsertionPolicy policy = InsertionPolicy::kReservoir;
   };
 
   explicit HashTable(const Config& config);
 
-  // Movable so std::vector<HashTable> can be built; not thread-safe to move
-  // while in use.
-  HashTable(HashTable&&) noexcept;
-  HashTable& operator=(HashTable&&) = delete;
-  HashTable(const HashTable&) = delete;
+  /// Inserts ids[i] into the bucket for keys[i], in order: reserve() then
+  /// place() for each id.
+  void insert(std::span<const std::uint32_t> keys, std::span<const Index> ids,
+              Rng& rng);
 
-  /// Inserts id into the bucket addressed by the fingerprint key.
-  void insert(std::uint32_t key, Index id, Rng& rng);
+  /// Batched insert, step 1: makes room for `count` inserts whose keys are
+  /// keys[0], keys[stride], ..., keys[(count - 1) * stride]. Re-lays the
+  /// table out (O(num_buckets + stored)) only if some bucket grows.
+  void reserve(const std::uint32_t* keys, std::size_t count,
+               std::size_t stride);
+
+  /// Batched insert, step 2: inserts id into the bucket for key. The
+  /// insert must have been counted by a reserve() call.
+  void place(std::uint32_t key, Index id, Rng& rng) {
+    const std::uint32_t b = bucket_of(key);
+    const auto cap = static_cast<std::uint32_t>(config_.bucket_size);
+    Index* slots = ids_.data() + offsets_[b];
+    const std::uint32_t n = seen_[b]++;
+    if (n < cap) {
+      SLIDE_ASSERT(n < offsets_[b + 1] - offsets_[b]);
+      slots[n] = id;
+      return;
+    }
+    switch (config_.policy) {
+      case InsertionPolicy::kReservoir: {
+        // Vitter: the (n+1)-th item replaces a uniform slot with
+        // probability cap/(n+1); every item ends up retained with equal
+        // probability.
+        const std::uint32_t j = rng.uniform(n + 1);
+        if (j < cap) slots[j] = id;
+        break;
+      }
+      case InsertionPolicy::kFifo:
+        slots[n % cap] = id;
+        break;
+    }
+  }
 
   /// Returns the ids currently stored in the bucket for `key`.
-  std::span<const Index> bucket(std::uint32_t key) const;
+  std::span<const Index> bucket(std::uint32_t key) const {
+    const std::uint32_t b = bucket_of(key);
+    return {ids_.data() + offsets_[b], offsets_[b + 1] - offsets_[b]};
+  }
 
-  /// Removes all entries (O(num_buckets)).
+  /// Removes all entries and releases the id array.
   void clear();
 
-  std::size_t num_buckets() const noexcept { return counts_.size(); }
+  std::size_t num_buckets() const noexcept { return seen_.size(); }
   int bucket_size() const noexcept { return config_.bucket_size; }
   InsertionPolicy policy() const noexcept { return config_.policy; }
 
   /// Number of ids currently stored across all buckets.
-  std::size_t total_stored() const;
+  std::size_t total_stored() const noexcept { return ids_.size(); }
   /// Number of non-empty buckets.
   std::size_t occupied_buckets() const;
 
+  /// Offsets + seen counters + stored ids.
   std::size_t memory_bytes() const noexcept {
-    return ids_.size() * sizeof(Index) +
-           counts_.size() * sizeof(std::atomic<std::uint32_t>);
+    return (offsets_.size() + seen_.size()) * sizeof(std::uint32_t) +
+           ids_.size() * sizeof(Index);
   }
 
  private:
@@ -86,8 +119,9 @@ class HashTable {
 
   Config config_;
   unsigned shift_;
-  std::vector<Index> ids_;  // num_buckets × bucket_size, row-major
-  std::vector<std::atomic<std::uint32_t>> counts_;  // inserts seen per bucket
+  std::vector<std::uint32_t> offsets_;  // num_buckets + 1, prefix sums
+  std::vector<std::uint32_t> seen_;     // inserts seen per bucket
+  std::vector<Index> ids_;              // offsets_.back() stored ids
 };
 
 }  // namespace slide

@@ -1,5 +1,6 @@
 #include "lsh/table_group.h"
 
+#include <numeric>
 #include <thread>
 
 namespace slide {
@@ -19,18 +20,60 @@ LshTableGroup::LshTableGroup(std::shared_ptr<const HashFamily> family,
   for (int t = 0; t < family_->l(); ++t) tables_.emplace_back(table_config);
 }
 
-void LshTableGroup::insert(Index id, std::span<const std::uint32_t> keys,
-                           Rng& rng) {
-  SLIDE_ASSERT(keys.size() == tables_.size());
-  for (std::size_t t = 0; t < tables_.size(); ++t)
-    tables_[t].insert(keys[t], id, rng);
+void LshTableGroup::insert(std::span<const Index> ids,
+                           std::span<const std::uint32_t> keys, Rng& rng) {
+  const std::size_t l = tables_.size();
+  SLIDE_CHECK(keys.size() == ids.size() * l,
+              "LshTableGroup::insert: need l() keys per id");
+  for (std::size_t t = 0; t < l; ++t)
+    tables_[t].reserve(keys.data() + t, ids.size(), l);
+  // Id-major, table-minor: the order (and so the Rng stream) of inserting
+  // each id into every table in turn.
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::uint32_t* row = keys.data() + i * l;
+    for (std::size_t t = 0; t < l; ++t) tables_[t].place(row[t], ids[i], rng);
+  }
 }
 
-void LshTableGroup::insert_dense(Index id, const float* row, Rng& rng) {
-  thread_local std::vector<std::uint32_t> keys;
-  keys.resize(tables_.size());
-  family_->hash_dense(row, keys);
-  insert(id, keys, rng);
+void LshTableGroup::build(Index count, const RowKeys& row_keys,
+                          std::uint64_t seed, ThreadPool* pool) {
+  clear();
+  const std::size_t l = tables_.size();
+  std::vector<std::uint32_t> keys(static_cast<std::size_t>(count) * l);
+  auto hash_range = [&](std::size_t begin, std::size_t end, int) {
+    for (std::size_t i = begin; i < end; ++i)
+      row_keys(static_cast<Index>(i), {keys.data() + i * l, l});
+  };
+  // Hashing is the O(K*L*d) part and parallel over rows ("easily
+  // parallelized with multiple threads over different neurons", paper
+  // §3.1); placing is O(L) per row and serial, so the Rng stream does not
+  // depend on the thread count.
+  if (pool != nullptr && pool->num_threads() > 1) {
+    pool->parallel_range(count, hash_range);
+  } else {
+    hash_range(0, count, 0);
+  }
+  std::vector<Index> ids(count);
+  std::iota(ids.begin(), ids.end(), Index{0});
+  Rng rng(seed);
+  insert(ids, keys, rng);
+}
+
+void LshTableGroup::build_from_rows(const float* rows, std::size_t row_stride,
+                                    Index count, ThreadPool* pool) {
+  build(
+      count,
+      [&](Index i, std::span<std::uint32_t> keys) {
+        family_->hash_dense(rows + static_cast<std::size_t>(i) * row_stride,
+                            keys);
+      },
+      seed_, pool);
+}
+
+void LshTableGroup::copy_from(const LshTableGroup& other) {
+  SLIDE_CHECK(family_ == other.family_,
+              "LshTableGroup::copy_from: groups must share one hash family");
+  tables_ = other.tables_;
 }
 
 void LshTableGroup::buckets(std::span<const std::uint32_t> keys,
@@ -39,31 +82,6 @@ void LshTableGroup::buckets(std::span<const std::uint32_t> keys,
   out.resize(tables_.size());
   for (std::size_t t = 0; t < tables_.size(); ++t)
     out[t] = tables_[t].bucket(keys[t]);
-}
-
-void LshTableGroup::build_from_rows(const float* rows, std::size_t row_stride,
-                                    Index count, ThreadPool* pool) {
-  clear();
-  if (pool != nullptr && pool->num_threads() > 1) {
-    // One RNG per thread keeps reservoir decisions uncorrelated without
-    // synchronization ("easily parallelized with multiple threads over
-    // different neurons", paper §3.1).
-    std::vector<Rng> rngs;
-    rngs.reserve(static_cast<std::size_t>(pool->num_threads()));
-    Rng seeder(seed_);
-    for (int t = 0; t < pool->num_threads(); ++t) rngs.push_back(seeder.fork());
-    pool->parallel_range(
-        count, [&](std::size_t begin, std::size_t end, int tid) {
-          Rng& rng = rngs[static_cast<std::size_t>(tid)];
-          for (std::size_t i = begin; i < end; ++i) {
-            insert_dense(static_cast<Index>(i), rows + i * row_stride, rng);
-          }
-        });
-  } else {
-    Rng rng(seed_);
-    for (Index i = 0; i < count; ++i)
-      insert_dense(i, rows + static_cast<std::size_t>(i) * row_stride, rng);
-  }
 }
 
 void LshTableGroup::clear() {
@@ -106,13 +124,13 @@ LshTableGroup& MaintainedTables::shadow_group() {
   const int s = 1 - active_idx_.load(std::memory_order_seq_cst);
   auto& group = groups_[static_cast<std::size_t>(s)];
   if (group == nullptr) {
-    // Same seed as the active buffer: a single-threaded build produces
-    // identical tables whichever buffer it lands in, so sync and async_full
-    // policies are bit-equivalent (tested in test_maintenance.cpp).
+    // Same seed as the active buffer: a build produces identical tables
+    // whichever buffer it lands in, so sync and async_full policies are
+    // bit-equivalent (tested in test_maintenance.cpp).
     group = std::make_unique<LshTableGroup>(family_, table_config_, seed_);
   }
   // RCU grace period: readers that pinned this buffer before it was
-  // retired must drain before we clear it under them. The wait is
+  // retired must drain before we overwrite it under them. The wait is
   // microseconds (a pin spans one bucket-sampling pass), while rebuilds
   // are many iterations apart.
   while (readers_[s].count.load(std::memory_order_seq_cst) != 0)

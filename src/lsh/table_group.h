@@ -9,11 +9,20 @@
 //                     asynchronous maintenance (core/layer.h,
 //                     MaintenancePolicy): readers pin the active group and
 //                     sample from it lock-free while a maintenance thread
-//                     re-hashes weights into the shadow group and publishes
-//                     it with an atomic index swap.
+//                     builds or updates the shadow group and publishes it
+//                     with an atomic index swap.
+//
+// Every write to a group is one batched insert (insert()): each table
+// grows its compact bucket layout once for the whole batch
+// (lsh/hash_table.h), then the ids are placed in id-major, table-minor
+// order with one Rng. A build is the same batch over every row: the rows
+// are hashed once into a scratch key buffer (in parallel over rows when a
+// pool is given) and inserted with Rng(seed), so a pooled build equals the
+// serial one slot for slot.
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -52,22 +61,35 @@ class LshTableGroup {
     family_->hash_sparse(idx, val, nnz, keys);
   }
 
-  /// Inserts id into table t's bucket for keys[t], for all t. Safe to call
-  /// concurrently from many threads (each with its own Rng).
-  void insert(Index id, std::span<const std::uint32_t> keys, Rng& rng);
+  /// Inserts ids[i] into table t's bucket for keys[i * l() + t], for all
+  /// i and t (keys id-major). Each table re-lays out at most once; the Rng
+  /// is consumed in id-major, table-minor order.
+  void insert(std::span<const Index> ids, std::span<const std::uint32_t> keys,
+              Rng& rng);
 
-  /// Hash-and-insert for a dense vector (e.g. a neuron weight row).
-  void insert_dense(Index id, const float* row, Rng& rng);
+  /// Fills keys (l() of them) for row `id` — the row source of build().
+  using RowKeys =
+      std::function<void(Index id, std::span<std::uint32_t> keys)>;
+
+  /// Clears all tables and inserts ids [0, count), hashing each row once
+  /// with `row_keys` (in parallel over rows when a pool is given) and
+  /// placing them with Rng(seed). The one build path: the layer (re)build
+  /// of paper §3.1 / §4.2.
+  void build(Index count, const RowKeys& row_keys, std::uint64_t seed,
+             ThreadPool* pool);
+
+  /// build() over dense vectors: vector i at rows + i*row_stride, hashed by
+  /// family(), placed with Rng(seed()).
+  void build_from_rows(const float* rows, std::size_t row_stride, Index count,
+                       ThreadPool* pool = nullptr);
+
+  /// Makes this group's tables a copy of `other`'s (same family and table
+  /// configuration): the starting point of a shadow-published insert.
+  void copy_from(const LshTableGroup& other);
 
   /// Fills out[t] with the bucket of table t for keys[t].
   void buckets(std::span<const std::uint32_t> keys,
                std::vector<std::span<const Index>>& out) const;
-
-  /// Clears all tables and re-inserts ids [0, count) with vector i at
-  /// rows + i*row_stride, parallelized over ids when a pool is given.
-  /// This is the layer (re)build of paper §3.1 / §4.2.
-  void build_from_rows(const float* rows, std::size_t row_stride, Index count,
-                       ThreadPool* pool = nullptr);
 
   void clear();
 
@@ -98,10 +120,11 @@ class LshTableGroup {
 /// The shadow buffer is allocated lazily on first use: synchronous-only
 /// layers keep the original single-group memory footprint.
 ///
-/// Delta maintenance inserts into active_group() *while readers sample
-/// from it*. Bucket counters are atomic; slot writes are intentionally
-/// unsynchronized (see lsh/hash_table.h) — a concurrently observed slot
-/// holds either the old or the new neuron id, both valid samples.
+/// Nothing writes a group that readers can pin: a delta pass beside live
+/// readers (async_delta) copies the active group into the shadow group,
+/// inserts its batch there and publishes it like a full rebuild. In-place
+/// writes to active_group() are for callers that guarantee no concurrent
+/// readers.
 class MaintainedTables {
  public:
   MaintainedTables(std::unique_ptr<HashFamily> family,
@@ -168,16 +191,17 @@ class MaintainedTables {
 
   // ---- Maintenance side (single caller at a time; see class comment) ----
 
-  /// The active group, mutable: in-place rebuilds for the synchronous
-  /// policy (caller guarantees no concurrent readers) and delta re-inserts
-  /// for async_delta (concurrent readers allowed, see class comment).
+  /// The active group, mutable: in-place rebuilds and inserts for callers
+  /// that guarantee no concurrent readers (the synchronous policy between
+  /// batches, label growth with maintenance parked).
   LshTableGroup& active_group() noexcept {
     return *groups_[static_cast<std::size_t>(
         active_idx_.load(std::memory_order_seq_cst))];
   }
 
-  /// The shadow group, cleared and ready to build into. Allocates it on
-  /// first use; waits for readers still pinning the retired buffer.
+  /// The shadow group, ready to build (or copy_from the active group)
+  /// into. Allocates it on first use; waits for readers still pinning the
+  /// retired buffer.
   LshTableGroup& shadow_group();
 
   /// Atomically makes the shadow group the active one. The previously

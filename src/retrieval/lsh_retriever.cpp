@@ -56,22 +56,15 @@ void LshRetriever::rebuild(ThreadPool* pool) {
 }
 
 void LshRetriever::reinsert(std::span<const Index> ids) {
-  // Delta maintenance into the LIVE group (reader-safe; see the
-  // MaintainedTables class comment). Stale bucket entries from the ids'
-  // previous hashes wash out at the next full rebuild.
-  LshTableGroup& group = tables_.active_group();
-  for (Index id : ids) group.insert_dense(id, rows_.row(id), mutate_rng_);
-}
-
-void LshRetriever::do_insert(Index id) {
-  tables_.active_group().insert_dense(id, rows_.row(id), mutate_rng_);
-}
-
-void LshRetriever::do_update(Index id) {
-  // No in-place bucket eviction: re-hash into the live group and let the
-  // next full rebuild clear the superseded entries (the same contract as
-  // the async delta path).
-  tables_.active_group().insert_dense(id, rows_.row(id), mutate_rng_);
+  // One batched insert into the active group, in place: index mutations
+  // run without concurrent retrieve() calls (retriever.h). Stale bucket
+  // entries from the ids' previous hashes wash out at the next full
+  // rebuild.
+  const std::size_t l = static_cast<std::size_t>(tables_.l());
+  std::vector<std::uint32_t> keys(ids.size() * l);
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    tables_.query_keys_dense(rows_.row(ids[i]), {keys.data() + i * l, l});
+  tables_.active_group().insert(ids, keys, mutate_rng_);
 }
 
 }  // namespace slide::retrieval

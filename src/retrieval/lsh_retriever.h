@@ -10,8 +10,9 @@
 // re-insert paths directly through tables() — the incremental-rehash
 // projection memo lives in the layer, next to the weight deltas that feed
 // it. Standalone users (ANN search, benches, tests) get the same index
-// through the generic hooks: rebuild() hashes every row, reinsert()
-// refreshes single ids into the live group.
+// through the generic hooks: rebuild() hashes every row, reinsert() (and
+// insert()/update(), which reach it with one id) inserts a batch of ids
+// into the active group.
 #pragma once
 
 #include "lsh/table_group.h"
@@ -52,8 +53,10 @@ class LshRetriever final : public Retriever {
   const MaintainedTables& tables() const noexcept { return tables_; }
 
  private:
-  void do_insert(Index id) override;
-  void do_update(Index id) override;
+  void do_insert(Index id) override { reinsert({&id, 1}); }
+  /// No in-place bucket eviction: re-hash and insert, and let the next full
+  /// rebuild clear the superseded entries (as the async delta path does).
+  void do_update(Index id) override { reinsert({&id, 1}); }
   /// Buckets store ids, not row pointers, so the tables survive a grown
   /// (reallocated) weight array as-is; only the view needs re-targeting.
   void do_resize(RowView rows) override { rows_ = rows; }

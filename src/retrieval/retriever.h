@@ -14,9 +14,10 @@
 //
 // A retriever indexes a fixed universe of ids [0, size()) whose vectors
 // live in caller-owned row storage (RowView — for a layer, its weight
-// rows). retrieve() is const and safe to call concurrently with the
-// maintenance hooks; mutation (insert/update/remove/rebuild) follows the
-// layer's single-writer contract.
+// rows). retrieve() is const and safe to call concurrently with itself and
+// with rebuild(); the other mutations (insert/update/remove/reinsert) have
+// one writer and no concurrent retrieve() — the layer's contract for label
+// growth and retirement.
 #pragma once
 
 #include <cstdint>
@@ -175,7 +176,8 @@ class Retriever {
   /// The layer escalates kAsyncDelta to full rebuilds when false.
   virtual bool supports_delta() const noexcept { return false; }
 
-  /// Delta maintenance: re-index just these ids (rows already updated).
+  /// Re-indexes just these ids from their current rows, as one batch (rows
+  /// already updated; no concurrent retrieve()).
   virtual void reinsert(std::span<const Index> ids) { (void)ids; }
 
   // --- serialize hooks (checkpoint v4 aux blocks) -----------------------

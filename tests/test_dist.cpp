@@ -388,12 +388,10 @@ TEST(DistProtocol, ForwardAndQueryMessagesRoundTrip) {
   dist::QueryTopkMsg q;
   q.rng = rng.state();
   q.exact = true;
-  q.budget = 12;
   q.prev = dist::WireActiveSet::capture(sparse);
   const dist::QueryTopkMsg q2 =
       dist::QueryTopkMsg::from_frame(q.to_frame(false));
   EXPECT_TRUE(q2.exact);
-  EXPECT_EQ(q2.budget, 12u);
   ActiveSet sback;
   q2.prev.reconstruct(sback);
   EXPECT_EQ(sback.ids, sparse.ids);
@@ -1024,15 +1022,7 @@ TEST(DistBudget, BudgetCapsSampledCandidatesButNotExactScoring) {
   layer.forward_inference({}, prev, false, r1, visited, ids, act);
   EXPECT_EQ(ids.size(), 48u);
 
-  // Per-query override caps the candidate count.
-  Rng r2(11);
-  layer.forward_inference_budgeted({}, prev, false, r2, visited,
-                                   /*budget_override=*/8, ids, act);
-  EXPECT_LE(ids.size(), 8u);
-  EXPECT_GE(ids.size(), 1u);
-  EXPECT_EQ(ids.size(), act.size());
-
-  // The configured knob behaves identically to the override.
+  // The configured knob caps the candidate count.
   SampledLayer::Config capped = cfg;
   capped.sampling.inference_budget = 8;
   SampledLayer capped_layer(capped, 1, 1);

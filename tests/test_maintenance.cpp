@@ -303,6 +303,28 @@ TEST(Maintenance, DeltaReinsertKeepsEveryNeuronRetrievable) {
   }
 }
 
+TEST(Maintenance, DeltaPassesPublishACopyInsteadOfWritingTheActiveGroup) {
+  // Delta passes run beside live readers, so each one inserts into a copy
+  // of the active group and publishes it: with no full rebuild in the
+  // window, every publish is a delta pass.
+  const auto data = tiny_data(200, 1024);
+  NetworkConfig cfg =
+      maintained_network_config(data, MaintenancePolicy::kAsyncDelta);
+  Network net(cfg, 2);
+  TrainerConfig tc;
+  tc.batch_size = 4;
+  tc.num_threads = 2;
+  tc.learning_rate = 1e-3f;
+  Trainer trainer(net, tc);
+  trainer.train(data.train, 8);
+  net.flush_maintenance();
+
+  const SampledLayer& out = net.output_layer();
+  EXPECT_EQ(out.rebuild_count(), 0);
+  EXPECT_GT(out.delta_reinserted(), 0);
+  EXPECT_GE(out.tables()->publish_count(), 1u);
+}
+
 TEST(Maintenance, DeltaEscalatesToFullRebuildWhenMostOfTheLayerIsDirty) {
   const auto data = tiny_data(200, 64);
   // 64-unit output with target 16 + labels: one batch dirties well over
