@@ -213,7 +213,8 @@ void Layer::forward_inference_topk(std::span<const Index> prev_ids,
 EmbeddingLayer::EmbeddingLayer(Index input_dim, Index units,
                                float init_stddev, int batch_slots,
                                int max_threads, const AdamConfig& adam,
-                               std::uint64_t seed, Precision precision)
+                               std::uint64_t seed, Precision precision,
+                               ParamInit init)
     : input_dim_(input_dim),
       units_(units),
       precision_(precision),
@@ -226,9 +227,11 @@ EmbeddingLayer::EmbeddingLayer(Index input_dim, Index units,
               "EmbeddingLayer: dimensions must be positive");
   SLIDE_CHECK(batch_slots > 0 && max_threads > 0,
               "EmbeddingLayer: slots/threads must be positive");
-  Rng rng(seed);
-  init_normal(weights_.data(), weights_.size(),
-              init_stddev > 0.0f ? init_stddev : 0.5f, rng);
+  if (!init.from_checkpoint()) {
+    Rng rng(seed);
+    init_normal(weights_.data(), weights_.size(),
+                init_stddev > 0.0f ? init_stddev : 0.5f, rng);
+  }
 
   slots_.resize(static_cast<std::size_t>(batch_slots));
   for (auto& s : slots_) {
@@ -258,7 +261,7 @@ EmbeddingLayer::EmbeddingLayer(Index input_dim, Index units,
       i8_scales_.assign(static_cast<std::size_t>(input_dim_), 0.0f);
       break;
   }
-  refresh_inference_mirror();
+  if (!init.from_checkpoint()) refresh_inference_mirror();
 }
 
 void EmbeddingLayer::refresh_inference_mirror() noexcept {
@@ -406,7 +409,7 @@ void EmbeddingLayer::apply_updates(float lr, ThreadPool* pool) {
 // ===========================================================================
 
 SampledLayer::SampledLayer(const Config& config, int batch_slots,
-                           int max_threads)
+                           int max_threads, ParamInit init)
     : config_(config),
       units_(config.units),
       fan_in_(config.fan_in),
@@ -417,7 +420,8 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
       adam_(config.adam,
             static_cast<std::size_t>(config.units) * config.fan_in +
                 config.units),
-      seed_(config.seed) {
+      seed_(config.seed),
+      awaiting_checkpoint_(init.from_checkpoint()) {
   SLIDE_CHECK(units_ > 0 && fan_in_ > 0,
               "SampledLayer: dimensions must be positive");
   SLIDE_CHECK(batch_slots > 0 && max_threads > 0,
@@ -425,11 +429,13 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
   SLIDE_CHECK(!(config_.hashed && config_.random_sampled),
               "SampledLayer: hashed and random_sampled are exclusive");
 
-  Rng rng(config.seed);
-  const float stddev = config.init_stddev > 0.0f
-                           ? config.init_stddev
-                           : 2.0f / std::sqrt(static_cast<float>(fan_in_));
-  init_normal(weights_.data(), weights_.size(), stddev, rng);
+  if (!awaiting_checkpoint_) {
+    Rng rng(config.seed);
+    const float stddev = config.init_stddev > 0.0f
+                             ? config.init_stddev
+                             : 2.0f / std::sqrt(static_cast<float>(fan_in_));
+    init_normal(weights_.data(), weights_.size(), stddev, rng);
+  }
 
   slots_.resize(static_cast<std::size_t>(batch_slots));
   touched_ = std::make_unique<std::atomic<std::uint8_t>[]>(units_);
@@ -485,10 +491,13 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
     if (config_.maintenance == MaintenancePolicy::kAsyncDelta)
       dirty_flag_ = std::make_unique<std::atomic<std::uint8_t>[]>(units_);
     next_rebuild_ = config_.rebuild.initial_period;
-    if (tables_ != nullptr) {
-      build_group(tables_->active_group(), nullptr);  // initial build (§3.1)
-    } else {
-      retriever_->rebuild(nullptr);  // initial index build
+    // A layer awaiting its checkpoint gets its index from the load.
+    if (!awaiting_checkpoint_) {
+      if (tables_ != nullptr) {
+        build_group(tables_->active_group(), nullptr);  // initial build (§3.1)
+      } else {
+        retriever_->rebuild(nullptr);  // initial index build
+      }
     }
   }
 
@@ -508,7 +517,7 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
       i8_scales_.assign(static_cast<std::size_t>(units_), 0.0f);
       break;
   }
-  refresh_inference_mirror();
+  if (!awaiting_checkpoint_) refresh_inference_mirror();
 }
 
 void SampledLayer::refresh_inference_mirror() noexcept {
@@ -1152,16 +1161,6 @@ Index SampledLayer::add_units(Index n) {
   copy_grow(weights_);
   copy_grow(grads_);
 
-  // New rows draw from an Rng keyed on (layer seed, growth base): the same
-  // growth sequence reproduces identical rows regardless of when in the
-  // serving session it runs.
-  Rng rng(seed_ + 0x9E3779B97F4A7C15ull +
-          static_cast<std::uint64_t>(old_units));
-  const float stddev = config_.init_stddev > 0.0f
-                           ? config_.init_stddev
-                           : 2.0f / std::sqrt(static_cast<float>(fan_in_));
-  init_normal(weights_.data() + old_w, new_w - old_w, stddev, rng);
-
   bias_.resize(static_cast<std::size_t>(new_units), 0.0f);
   bias_grad_.resize(static_cast<std::size_t>(new_units), 0.0f);
   adam_.grow(old_w, new_w, static_cast<std::size_t>(old_units),
@@ -1202,16 +1201,29 @@ Index SampledLayer::add_units(Index n) {
   units_ = new_units;
   config_.units = new_units;
   appended_units_ += n;
-  refresh_inference_mirror();
-
-  // Re-target the retrieval index at the reallocated rows, then bring the
-  // appended ids live. Delta-capable backends (LSH) insert directly into
-  // the active tables — and additionally ride the dirty-delta queue so the
-  // next maintenance pass re-keys them from their trained weights; the
-  // rest (HNSW) escalate to a full rebuild, exactly like their delta
-  // maintenance path does.
+  // Re-target the retrieval index at the reallocated rows. A layer still
+  // awaiting its checkpoint takes the new rows, its mirrors and its index
+  // from the load that is growing it.
   retriever_->resize_universe(
       retrieval::RowView{weights_.data(), fan_in_, new_units});
+  if (awaiting_checkpoint_) return old_units;
+
+  // New rows draw from an Rng keyed on (layer seed, growth base): the same
+  // growth sequence reproduces identical rows regardless of when in the
+  // serving session it runs.
+  Rng rng(seed_ + 0x9E3779B97F4A7C15ull +
+          static_cast<std::uint64_t>(old_units));
+  const float stddev = config_.init_stddev > 0.0f
+                           ? config_.init_stddev
+                           : 2.0f / std::sqrt(static_cast<float>(fan_in_));
+  init_normal(weights_.data() + old_w, new_w - old_w, stddev, rng);
+  refresh_inference_mirror();
+
+  // Bring the appended ids live. Delta-capable backends (LSH) insert
+  // directly into the active tables — and additionally ride the
+  // dirty-delta queue so the next maintenance pass re-keys them from their
+  // trained weights; the rest (HNSW) escalate to a full rebuild, exactly
+  // like their delta maintenance path does.
   if (retriever_->supports_delta()) {
     // Appended ids start live (resize_universe), so one batched reinsert
     // indexes them all.
@@ -1410,10 +1422,10 @@ void SampledLayer::reset_phase_timers() {
 DenseLayer::DenseLayer(Index units, Index fan_in, Activation activation,
                        float init_stddev, const AdamConfig& adam,
                        std::uint64_t seed, int batch_slots, int max_threads,
-                       Precision precision)
+                       Precision precision, ParamInit init)
     : SampledLayer(dense_layer_config(units, fan_in, activation, init_stddev,
                                       adam, seed, precision),
-                   batch_slots, max_threads) {}
+                   batch_slots, max_threads, init) {}
 
 RandomSampledLayer::RandomSampledLayer(Index units, Index fan_in,
                                        Index num_sampled,
@@ -1421,7 +1433,8 @@ RandomSampledLayer::RandomSampledLayer(Index units, Index fan_in,
                                        float init_stddev,
                                        const AdamConfig& adam,
                                        std::uint64_t seed, int batch_slots,
-                                       int max_threads, Precision precision)
+                                       int max_threads, Precision precision,
+                                       ParamInit init)
     : SampledLayer(
           [&] {
             SampledLayer::Config cfg = dense_layer_config(
@@ -1431,7 +1444,7 @@ RandomSampledLayer::RandomSampledLayer(Index units, Index fan_in,
             cfg.sampling.target = num_sampled;
             return cfg;
           }(),
-          batch_slots, max_threads) {
+          batch_slots, max_threads, init) {
   SLIDE_CHECK(num_sampled > 0,
               "RandomSampledLayer: num_sampled must be positive");
 }
@@ -1439,7 +1452,7 @@ RandomSampledLayer::RandomSampledLayer(Index units, Index fan_in,
 std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
                                   const AdamConfig& adam, std::uint64_t seed,
                                   int batch_slots, int max_threads,
-                                  Precision precision) {
+                                  Precision precision, ParamInit init) {
   SLIDE_CHECK(!(spec.hashed && spec.random_sampled),
               "make_layer: hashed and random_sampled are exclusive");
   SLIDE_CHECK(spec.shards == 0 || spec.hashed,
@@ -1491,19 +1504,22 @@ std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
           });
     }
     if (spec.shards >= 1) {
-      return std::make_unique<ShardedSampledLayer>(cfg, spec.shards,
-                                                   batch_slots, max_threads);
+      return std::make_unique<ShardedSampledLayer>(
+          cfg, spec.shards, batch_slots, max_threads, init);
     }
-    return std::make_unique<SampledLayer>(cfg, batch_slots, max_threads);
+    return std::make_unique<SampledLayer>(cfg, batch_slots, max_threads,
+                                          init);
   }
   if (spec.random_sampled) {
     return std::make_unique<RandomSampledLayer>(
         spec.units, fan_in, spec.sampling.target, spec.activation,
-        spec.init_stddev, adam, seed, batch_slots, max_threads, precision);
+        spec.init_stddev, adam, seed, batch_slots, max_threads, precision,
+        init);
   }
   return std::make_unique<DenseLayer>(spec.units, fan_in, spec.activation,
                                       spec.init_stddev, adam, seed,
-                                      batch_slots, max_threads, precision);
+                                      batch_slots, max_threads, precision,
+                                      init);
 }
 
 }  // namespace slide

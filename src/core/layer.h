@@ -52,6 +52,36 @@
 
 namespace slide {
 
+class ModelStore;
+namespace dist {
+class ShardWorker;
+}  // namespace dist
+
+/// How a layer (or a Network) fills its parameters at construction.
+/// `random()`, the default everywhere, draws the seeded Gaussian init,
+/// quantizes the inference mirrors and builds every retrieval index. The
+/// checkpoint mode leaves all of that undone because a checkpoint load is
+/// about to overwrite every parameter: the load's trailing index rebuild
+/// (or restored HNSW graph) is then the only index build of the boot, and
+/// the seeds, hash families and everything else derived from the config
+/// are the same as in random mode. Only the checkpoint-boot paths can mint
+/// that mode (passkey): ModelStore's loader and the shard worker's
+/// checkpoint init, each of which loads every block before it serves.
+class ParamInit {
+ public:
+  static ParamInit random() noexcept { return ParamInit(false); }
+  bool from_checkpoint() const noexcept { return from_checkpoint_; }
+
+ private:
+  friend class ModelStore;
+  friend class dist::ShardWorker;
+  static ParamInit checkpoint() noexcept { return ParamInit(true); }
+  explicit ParamInit(bool from_checkpoint) noexcept
+      : from_checkpoint_(from_checkpoint) {}
+
+  bool from_checkpoint_;
+};
+
 /// Per-(layer, batch-slot) state: the ids of active neurons with their
 /// activations and error accumulators, positionally aligned. An empty `ids`
 /// means "dense": all `dense_width` units are active and act/err are
@@ -338,7 +368,8 @@ class EmbeddingLayer {
   EmbeddingLayer(Index input_dim, Index units, float init_stddev,
                  int batch_slots, int max_threads, const AdamConfig& adam,
                  std::uint64_t seed,
-                 Precision precision = Precision::kFP32);
+                 Precision precision = Precision::kFP32,
+                 ParamInit init = ParamInit::random());
 
   Index input_dim() const noexcept { return input_dim_; }
   Index units() const noexcept { return units_; }
@@ -474,7 +505,8 @@ class SampledLayer : public Layer {
     std::uint64_t seed = 31;
   };
 
-  SampledLayer(const Config& config, int batch_slots, int max_threads);
+  SampledLayer(const Config& config, int batch_slots, int max_threads,
+               ParamInit init = ParamInit::random());
 
   LayerKind kind() const noexcept override {
     if (config_.hashed) return LayerKind::kSampled;
@@ -613,6 +645,7 @@ class SampledLayer : public Layer {
   /// e.g. by a checkpoint load); the next rebuild re-projects from weights.
   void invalidate_memo() noexcept { memo_initialized_ = false; }
   void on_weights_loaded() noexcept override {
+    awaiting_checkpoint_ = false;
     invalidate_memo();
     refresh_inference_mirror();
   }
@@ -796,6 +829,11 @@ class SampledLayer : public Layer {
   std::uint64_t seed_;
   /// Units appended by add_units since construction (checkpoint v5).
   Index appended_units_ = 0;
+  /// Set by a ParamInit::checkpoint() construction until the checkpoint's
+  /// weights arrive (on_weights_loaded): the weights, mirrors and index are
+  /// placeholders meanwhile, and add_units leaves them so too. The load
+  /// builds or restores the index after the weights.
+  bool awaiting_checkpoint_ = false;
 
   // Declared last: its destructor joins the maintenance thread before any
   // state that thread touches (weights, tables, memo) is torn down.
@@ -812,7 +850,8 @@ class DenseLayer final : public SampledLayer {
   DenseLayer(Index units, Index fan_in, Activation activation,
              float init_stddev, const AdamConfig& adam, std::uint64_t seed,
              int batch_slots, int max_threads,
-             Precision precision = Precision::kFP32);
+             Precision precision = Precision::kFP32,
+             ParamInit init = ParamInit::random());
 };
 
 /// Static uniform sampling (the Sampled Softmax baseline of paper §5.1):
@@ -825,15 +864,18 @@ class RandomSampledLayer final : public SampledLayer {
                      Activation activation, float init_stddev,
                      const AdamConfig& adam, std::uint64_t seed,
                      int batch_slots, int max_threads,
-                     Precision precision = Precision::kFP32);
+                     Precision precision = Precision::kFP32,
+                     ParamInit init = ParamInit::random());
 };
 
 /// Builds the concrete Layer for a LayerSpec (DenseLayer, SampledLayer, or
 /// RandomSampledLayer) — the single construction point used by Network.
 /// `precision` is the network-wide inference precision (config.h).
+/// Distributed layers ignore `init`: their workers build their own shards.
 std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
                                   const AdamConfig& adam, std::uint64_t seed,
                                   int batch_slots, int max_threads,
-                                  Precision precision = Precision::kFP32);
+                                  Precision precision = Precision::kFP32,
+                                  ParamInit init = ParamInit::random());
 
 }  // namespace slide

@@ -165,8 +165,10 @@ class TopKIterator {
 class Network {
  public:
   /// max_threads sizes the per-thread structures (touched lists, timers);
-  /// pass the trainer's thread count (or more).
-  Network(const NetworkConfig& config, int max_threads);
+  /// pass the trainer's thread count (or more). `init` is the passkey of
+  /// the checkpoint boot (see ParamInit); everyone else keeps the default.
+  Network(const NetworkConfig& config, int max_threads,
+          ParamInit init = ParamInit::random());
 
   /// Movable (the write epoch carries over); not copyable. Moving while
   /// any reader or writer is active is undefined, as for any container.

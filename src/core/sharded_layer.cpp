@@ -91,12 +91,12 @@ ShardedSampledLayer::ShardedSampledLayer(const SampledLayer::Config& config,
 
 ShardedSampledLayer::ShardedSampledLayer(const SampledLayer::Config& config,
                                          int shards, int batch_slots,
-                                         int max_threads)
+                                         int max_threads, ParamInit init)
     : ShardedSampledLayer(
           config, shards, batch_slots,
           [&](const SampledLayer::Config& shard_config, int, int, Index) {
             return std::make_unique<SampledLayer>(shard_config, batch_slots,
-                                                  max_threads);
+                                                  max_threads, init);
           }) {}
 
 int ShardedSampledLayer::shard_of(Index unit) const noexcept {

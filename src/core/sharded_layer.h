@@ -80,7 +80,8 @@ class ShardedSampledLayer final : public Layer {
                       int batch_slots, const ShardFactory& make_shard);
   /// In-process shards: one local SampledLayer per row range.
   ShardedSampledLayer(const SampledLayer::Config& config, int shards,
-                      int batch_slots, int max_threads);
+                      int batch_slots, int max_threads,
+                      ParamInit init = ParamInit::random());
 
   // ---- Identity ----
   LayerKind kind() const noexcept override { return LayerKind::kSharded; }

@@ -153,12 +153,13 @@ Frame ShardWorker::handle_init(const Frame& f) {
   global_units_ = m.global_units;
   // max_threads = 1: RPCs arrive sequentially, so one HOGWILD touched list
   // suffices (tid is always 0 below).
-  layer_ = std::make_unique<SampledLayer>(m.config, m.batch_slots,
-                                          /*max_threads=*/1);
-  visited_ = std::make_unique<VisitedSet>(m.config.units);
-  prev_slots_.resize(static_cast<std::size_t>(m.batch_slots));
-
-  if (!m.checkpoint_path.empty()) {
+  if (m.checkpoint_path.empty()) {
+    layer_ = std::make_unique<SampledLayer>(m.config, m.batch_slots,
+                                            /*max_threads=*/1);
+  } else {
+    // Read and check the whole shard file first, then build the layer for
+    // it: no random init and no index build of its own, so the rebuild
+    // below is the shard's one index build.
     std::vector<float> weights;
     std::vector<float> bias;
     const ShardFileInfo info =
@@ -171,12 +172,16 @@ Frame ShardWorker::handle_init(const Frame& f) {
     SLIDE_CHECK(info.rows == m.config.units &&
                     info.fan_in == m.config.fan_in,
                 "worker: shard file shape does not match the shard config");
-    std::copy(weights.begin(), weights.end(),
-              layer_->weights_span().data());
-    std::copy(bias.begin(), bias.end(), layer_->bias_span().data());
-    layer_->on_weights_loaded();
-    layer_->rebuild_tables(nullptr);
+    auto layer = std::make_unique<SampledLayer>(
+        m.config, m.batch_slots, /*max_threads=*/1, ParamInit::checkpoint());
+    std::copy(weights.begin(), weights.end(), layer->weights_span().data());
+    std::copy(bias.begin(), bias.end(), layer->bias_span().data());
+    layer->on_weights_loaded();
+    layer->rebuild_tables(nullptr);
+    layer_ = std::move(layer);
   }
+  visited_ = std::make_unique<VisitedSet>(m.config.units);
+  prev_slots_.resize(static_cast<std::size_t>(m.batch_slots));
   return make_frame(MsgType::kAck);
 }
 

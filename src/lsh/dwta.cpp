@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 namespace slide {
 
@@ -25,11 +26,35 @@ DwtaHash::DwtaHash(const Config& config)
   Rng rng(config.seed);
   std::vector<Index> perm(dim_);
   pos_.resize(static_cast<std::size_t>(num_perms_) * dim_);
+  const std::size_t table_size =
+      static_cast<std::size_t>(total_codes) * static_cast<std::size_t>(bin_size_);
+  bin_coords_.resize(table_size);
+  bin_slots_.resize(table_size);
+  std::vector<std::pair<Index, std::uint32_t>> bin(
+      static_cast<std::size_t>(bin_size_));
   for (int p = 0; p < num_perms_; ++p) {
     std::iota(perm.begin(), perm.end(), Index{0});
     std::shuffle(perm.begin(), perm.end(), rng);
     Index* pos = pos_.data() + static_cast<std::size_t>(p) * dim_;
     for (Index q = 0; q < dim_; ++q) pos[perm[q]] = q;
+    for (int b = 0; b < bins_per_perm_; ++b) {
+      const int c = p * bins_per_perm_ + b;
+      if (c >= total_codes) break;
+      for (int j = 0; j < bin_size_; ++j) {
+        bin[static_cast<std::size_t>(j)] = {
+            perm[static_cast<std::size_t>(b * bin_size_ + j)],
+            static_cast<std::uint32_t>(j)};
+      }
+      std::sort(bin.begin(), bin.end());
+      const std::size_t base =
+          static_cast<std::size_t>(c) * static_cast<std::size_t>(bin_size_);
+      for (int j = 0; j < bin_size_; ++j) {
+        bin_coords_[base + static_cast<std::size_t>(j)] =
+            bin[static_cast<std::size_t>(j)].first;
+        bin_slots_[base + static_cast<std::size_t>(j)] =
+            bin[static_cast<std::size_t>(j)].second;
+      }
+    }
   }
 }
 
@@ -116,14 +141,32 @@ void DwtaHash::hash_sparse(const Index* idx, const float* val,
 }
 
 void DwtaHash::hash_dense(const float* x, std::span<std::uint32_t> keys) const {
-  // A dense vector is the nnz == dim special case; reuse the sparse path
-  // with an identity index map.
-  thread_local std::vector<Index> identity;
-  if (identity.size() != dim_) {
-    identity.resize(dim_);
-    std::iota(identity.begin(), identity.end(), Index{0});
+  SLIDE_ASSERT(static_cast<int>(keys.size()) == l_);
+  // A dense vector fills every bin, so nothing needs densifying. The
+  // sparse scan visits coordinates in ascending order and takes a new
+  // winner only on a strict `>`; scanning each bin's coordinates in the
+  // same order with the same comparison picks the same winner, so the
+  // lowest coordinate wins a tie and a NaN wins only as the bin's first
+  // coordinate.
+  const Index* coords = bin_coords_.data();
+  const std::uint32_t* slots = bin_slots_.data();
+  for (int t = 0; t < l_; ++t) {
+    detail::FingerprintMixer mixer;
+    for (int j = 0; j < k_; ++j) {
+      float best = x[coords[0]];
+      std::uint32_t code = slots[0];
+      for (int i = 1; i < bin_size_; ++i) {
+        const float v = x[coords[i]];
+        const bool wins = v > best;
+        best = wins ? v : best;
+        code = wins ? slots[i] : code;
+      }
+      mixer.add(code);
+      coords += bin_size_;
+      slots += bin_size_;
+    }
+    keys[t] = mixer.value();
   }
-  hash_sparse(identity.data(), x, dim_, keys);
 }
 
 }  // namespace slide

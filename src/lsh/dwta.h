@@ -6,6 +6,11 @@
 // and repairing bins that received no nonzero coordinate ("empty bins")
 // with the densification scheme: an empty bin borrows the code of a
 // non-empty bin found by iterating a universal hash probe.
+//
+// A dense input (hash_dense: the layer's weight rows at every table build)
+// fills every bin, so it skips the scan: each code is an argmax over its
+// bin's bin_size coordinates, precomputed in ascending coordinate order so
+// the first maximum wins — the sparse scan's winner, ties and NaNs included.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +68,11 @@ class DwtaHash final : public HashFamily {
   std::uint64_t probe_seed_;
   // pos_[p * dim_ + d] = position of coordinate d in permutation p.
   std::vector<Index> pos_;
+  // Dense kernel, code-major (bin_size_ entries per code): code c's bin
+  // coordinates in ascending order, and each one's position in the bin —
+  // the code value it yields when it holds the bin's maximum.
+  std::vector<Index> bin_coords_;
+  std::vector<std::uint32_t> bin_slots_;
 };
 
 }  // namespace slide

@@ -16,9 +16,9 @@
 //
 // Concurrency: the graph is immutable behind a shared_ptr; rebuild()
 // builds a fresh graph off to the side and swaps the pointer, so readers
-// (retrieve is const) stay safe during background maintenance. Single-id
-// update() defers to the next rebuild (supports_delta() is false — the
-// layer escalates delta maintenance to full rebuilds for this backend).
+// (retrieve is const) stay safe during background maintenance. Changed
+// rows wait for the next rebuild (supports_delta() is false — the layer
+// escalates delta maintenance to full rebuilds for this backend).
 #pragma once
 
 #include <memory>

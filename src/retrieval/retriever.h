@@ -15,7 +15,7 @@
 // A retriever indexes a fixed universe of ids [0, size()) whose vectors
 // live in caller-owned row storage (RowView — for a layer, its weight
 // rows). retrieve() is const and safe to call concurrently with itself and
-// with rebuild(); the other mutations (insert/update/remove/reinsert) have
+// with rebuild(); the other mutations (insert/remove/reinsert) have
 // one writer and no concurrent retrieve() — the layer's contract for label
 // growth and retirement.
 #pragma once
@@ -71,7 +71,7 @@ struct RowView {
 /// Candidate-generation index over a fixed id universe.
 ///
 /// Lifecycle: construct over a RowView, then rebuild() to (re)index the
-/// current rows. insert/update/remove adjust single ids between rebuilds;
+/// current rows. insert/remove adjust single ids between rebuilds;
 /// remove(id) masks the id from retrieval until a later insert(id)
 /// resurrects it (rebuild() does NOT clear the mask). The mask lives here,
 /// in the base class, so every backend shares one tombstone semantic.
@@ -119,11 +119,6 @@ class Retriever {
     unmask(id);
     do_insert(id);
   }
-
-  /// Refreshes id's index entry after its row changed. Backends whose
-  /// structures cannot update in place (HNSW, and LSH between rebuilds)
-  /// may defer the refresh to the next rebuild().
-  void update(Index id) { do_update(id); }
 
   /// Masks id from retrieval until a later insert(id).
   void remove(Index id) {
@@ -206,7 +201,6 @@ class Retriever {
   bool any_masked() const noexcept { return !tombstone_.empty(); }
 
   virtual void do_insert(Index id) { (void)id; }
-  virtual void do_update(Index id) { (void)id; }
   virtual void do_remove(Index id) { (void)id; }
   /// Swaps in the grown RowView (backends store it by value). Structures
   /// built over the old storage stay valid only if they index by id, not by

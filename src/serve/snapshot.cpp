@@ -25,11 +25,16 @@ std::shared_ptr<ModelSnapshot> make_snapshot(
   return snap;
 }
 
-/// Builds + loads + rebuilds a serving-ready network off the serving path.
-std::shared_ptr<const Network> network_from_checkpoint(
+}  // namespace
+
+std::shared_ptr<const Network> ModelStore::network_from_checkpoint(
     const NetworkConfig& config, std::istream& in, int rebuild_threads) {
   if (rebuild_threads <= 0) rebuild_threads = hardware_threads();
-  auto network = std::make_shared<Network>(config, rebuild_threads);
+  // No random init and no index build: load_weights rejects a stream that
+  // does not cover every parameter block, and its trailing rebuild (on the
+  // pool) or a restored HNSW graph is the only index the network gets.
+  auto network = std::make_shared<Network>(config, rebuild_threads,
+                                           ParamInit::checkpoint());
   if (rebuild_threads > 1) {
     ThreadPool pool(rebuild_threads);
     load_weights(*network, in, &pool);
@@ -38,8 +43,6 @@ std::shared_ptr<const Network> network_from_checkpoint(
   }
   return network;
 }
-
-}  // namespace
 
 ModelStore::ModelStore(std::shared_ptr<const Network> initial,
                        std::string source) {

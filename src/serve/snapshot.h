@@ -13,6 +13,8 @@
 //
 // Checkpoint loads (core/serialize format) construct the fresh Network and
 // rebuild its tables *before* the swap, off the serving path — the
+// network is built without a random init or an index of its own (see
+// ParamInit), so the load's rebuild is the boot's one index build. The
 // building block for train-and-serve loops where a trainer periodically
 // checkpoints and the server picks the weights up with zero pause
 // (cf. the parameter-exchange motivation in "Distributed SLIDE", 2022).
@@ -78,9 +80,9 @@ class ModelStore : public std::enable_shared_from_this<ModelStore> {
   std::uint64_t publish(std::shared_ptr<const Network> network,
                         std::string source = "published");
 
-  /// Builds a fresh Network(config), loads a core/serialize checkpoint into
-  /// it, rebuilds its hash tables (`rebuild_threads`, 0 = hardware), then
-  /// publishes. All heavy work happens on the calling thread before the
+  /// Builds a fresh Network(config) for the load, loads a core/serialize
+  /// checkpoint into it, builds its hash tables once (`rebuild_threads`,
+  /// 0 = hardware), then publishes. All heavy work happens on the calling thread before the
   /// O(1) swap. The config must match the checkpoint architecture
   /// (slide::Error otherwise, store unchanged).
   std::uint64_t load_checkpoint(const NetworkConfig& config, std::istream& in,
@@ -109,6 +111,11 @@ class ModelStore : public std::enable_shared_from_this<ModelStore> {
   std::uint64_t publish_count() const;
 
  private:
+  /// Builds + loads + indexes a serving-ready network off the serving
+  /// path; the one place that mints ParamInit::checkpoint().
+  static std::shared_ptr<const Network> network_from_checkpoint(
+      const NetworkConfig& config, std::istream& in, int rebuild_threads);
+
   mutable std::mutex mutex_;
   std::shared_ptr<const ModelSnapshot> current_;
   std::atomic<Index> input_dim_{0};

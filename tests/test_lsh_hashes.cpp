@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <numeric>
 
 #include "lsh/collision.h"
@@ -210,20 +212,59 @@ TEST(Wta, MemoryOptimizedPermutationCount) {
 // ---------------------------------------------------------------------------
 
 TEST(Dwta, SparseMatchesDenseOnSameVector) {
-  DwtaHash h({.k = 4, .l = 20, .dim = 200, .bin_size = 8, .seed = 19});
-  Rng rng(20);
-  std::vector<float> dense(200, 0.0f);
-  std::vector<Index> idx;
-  std::vector<float> val;
-  for (int i = 0; i < 200; ++i) {
-    dense[static_cast<std::size_t>(i)] = rng.normal();
-    idx.push_back(static_cast<Index>(i));
-    val.push_back(dense[static_cast<std::size_t>(i)]);
+  // hash_dense runs its own kernel (a first-max over each bin's
+  // coordinates); it must pick every bin's winner exactly as the sparse
+  // scan over all coordinates does. Ties go to the lowest coordinate, and
+  // a NaN wins only as its bin's first coordinate. The shapes include a
+  // dim that is not a multiple of bin_size (trailing coordinates in no
+  // bin) and K*L not a multiple of the bins per permutation (a partly used
+  // last permutation), next to the K=8, L=50, d=128 production shape.
+  struct Shape {
+    int k, l;
+    Index dim;
+    int bin_size;
+  };
+  const Shape shapes[] = {
+      {4, 20, 200, 8}, {3, 7, 203, 8}, {8, 50, 128, 8},
+      {5, 7, 61, 4},   {2, 11, 100, 3}};
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const Shape& shape : shapes) {
+    DwtaHash h({.k = shape.k,
+                .l = shape.l,
+                .dim = shape.dim,
+                .bin_size = shape.bin_size,
+                .seed = 19});
+    Rng rng(20);
+    std::vector<Index> idx(shape.dim);
+    std::iota(idx.begin(), idx.end(), Index{0});
+    // Value sources: distinct values; a small set with many ties; the
+    // same set with ~15% NaNs; every coordinate equal; signed zeros and
+    // infinities among ties.
+    const std::vector<std::function<float(Index)>> sources = {
+        [&](Index) { return rng.normal(); },
+        [&](Index) { return static_cast<float>(rng.uniform(3)) - 1.0f; },
+        [&](Index) {
+          return rng.uniform(100) < 15
+                     ? nan
+                     : static_cast<float>(rng.uniform(3)) - 1.0f;
+        },
+        [&](Index) { return 0.25f; },
+        [&](Index) {
+          const float pick[] = {0.0f, -0.0f, inf, -inf, nan};
+          return pick[rng.uniform(5)];
+        }};
+    for (std::size_t src = 0; src < sources.size(); ++src) {
+      std::vector<float> dense(shape.dim);
+      for (Index d = 0; d < shape.dim; ++d) dense[d] = sources[src](d);
+      std::vector<std::uint32_t> kd(h.l()), ks(h.l());
+      h.hash_dense(dense.data(), kd);
+      h.hash_sparse(idx.data(), dense.data(), idx.size(), ks);
+      EXPECT_EQ(kd, ks) << "k=" << shape.k << " l=" << shape.l
+                        << " dim=" << shape.dim
+                        << " bin=" << shape.bin_size << " source " << src;
+    }
   }
-  std::vector<std::uint32_t> kd(h.l()), ks(h.l());
-  h.hash_dense(dense.data(), kd);
-  h.hash_sparse(idx.data(), val.data(), idx.size(), ks);
-  EXPECT_EQ(kd, ks);
 }
 
 TEST(Dwta, DensifiesEmptyBinsForVerySparseInput) {
